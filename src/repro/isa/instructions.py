@@ -135,13 +135,24 @@ class Program:
     #: bounds guards for exactly these instructions)
     stack_safe: frozenset | None = field(default=None, init=False,
                                          repr=False, compare=False)
+    #: superblocks the JIT formed and compiled for this program, keyed
+    #: by entry address plus code-generation settings; the generated
+    #: code is machine-independent, so every machine executing this
+    #: program binds the same code objects (see repro.isa.jit)
+    jit_blocks: dict = field(init=False, repr=False, compare=False)
+    #: the assembled CFG superblocks are formed from, built lazily
+    asm_cfg: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.by_address = {ins.address: ins for ins in self.instructions}
+        self.invalidate_predecode()
 
     def invalidate_predecode(self) -> None:
-        """Drop the cached handler table (after patching instructions)."""
+        """Drop the cached handler table, CFG and JIT blocks (after
+        patching instructions)."""
         self.predecoded = None
+        self.asm_cfg = None
+        self.jit_blocks = {}
 
     @property
     def entry_address(self) -> int:

@@ -407,9 +407,17 @@ class Machine:
             engine = self._jit()
             if engine is not None:
                 return engine.run(max_steps)
-        handlers = self._predecode()
         if self.recorder.enabled:
-            return self._run_traced(handlers, max_steps)
+            return self._run_traced(self._predecode(), max_steps)
+        self._run_predecoded(max_steps)
+        return self.regs.get_signed("eax")
+
+    def _run_predecoded(self, max_steps: int, *,
+                        raise_on_limit: bool = True) -> None:
+        """The untraced handler-table loop behind :meth:`run` and
+        :meth:`run_slice`: at ``max_steps`` it raises, or with
+        ``raise_on_limit=False`` just stops."""
+        handlers = self._predecode()
         regs = self.regs
         record = self.record_fetches
         fetch = self.space.fetch
@@ -417,6 +425,8 @@ class Machine:
         try:
             while not self.halted:
                 if steps >= max_steps:
+                    if not raise_on_limit:
+                        break
                     raise MachineFault(
                         "step limit exceeded (infinite loop?)")
                 eip = regs.eip
@@ -432,7 +442,6 @@ class Machine:
                 steps += 1
         finally:
             self.steps = steps
-        return regs.get_signed("eax")
 
     #: pending per-instruction events per bulk flush in the traced loop
     TRACE_CHUNK = 4096
@@ -521,8 +530,9 @@ class Machine:
 
         The kernel's timeslice primitive: stops early on halt, raises
         on faults like :meth:`step`, and never raises for hitting the
-        limit. With JIT enabled, whole superblocks execute per
-        dispatch, so a slice costs far fewer Python-level iterations.
+        limit. Interpreted slices run :meth:`run`'s predecoded handler
+        loop (with tracing on, :meth:`step` records each instruction);
+        with JIT enabled, whole superblocks execute per dispatch.
         """
         before = self.steps
         use_jit = self.jit if jit is None else jit
@@ -531,8 +541,11 @@ class Machine:
             if engine is not None:
                 engine.run(before + limit, raise_on_limit=False)
                 return self.steps - before
-        while not self.halted and self.steps - before < limit:
-            self.step()
+        if self.recorder.enabled:
+            while not self.halted and self.steps - before < limit:
+                self.step()
+        else:
+            self._run_predecoded(before + limit, raise_on_limit=False)
         return self.steps - before
 
     def call(self, label: str, *args: int,

@@ -10,7 +10,7 @@ fields the way homework solutions draw them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro._util import is_power_of_two, log2_exact
 from repro.errors import CacheConfigError
@@ -34,6 +34,10 @@ class AddressLayout:
     address_bits: int
     block_size: int
     num_sets: int
+    # derived once per layout (every cache probe divides an address);
+    # excluded from equality, hashing and repr
+    offset_bits: int = field(init=False, repr=False, compare=False)
+    index_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.block_size):
@@ -42,16 +46,10 @@ class AddressLayout:
         if not is_power_of_two(self.num_sets):
             raise CacheConfigError(
                 f"set count {self.num_sets} must be a power of two")
+        object.__setattr__(self, "offset_bits", log2_exact(self.block_size))
+        object.__setattr__(self, "index_bits", log2_exact(self.num_sets))
         if self.offset_bits + self.index_bits > self.address_bits:
             raise CacheConfigError("cache larger than the address space")
-
-    @property
-    def offset_bits(self) -> int:
-        return log2_exact(self.block_size)
-
-    @property
-    def index_bits(self) -> int:
-        return log2_exact(self.num_sets)
 
     @property
     def tag_bits(self) -> int:

@@ -334,13 +334,7 @@ class Kernel:
     def _run_binary(self, pcb: PCB, op: RunBinary) -> bool:
         machine = op.machine
         try:
-            if op.jit:
-                machine.run_slice(op.batch)
-            else:
-                for _ in range(op.batch):
-                    if machine.halted:
-                        break
-                    machine.step()
+            machine.run_slice(op.batch, jit=op.jit)
         except (IsaError, CMemoryError) as exc:
             # the program crashed (segfault, divide error, bad fetch):
             # the kernel kills it, SIGSEGV-style

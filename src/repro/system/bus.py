@@ -74,12 +74,27 @@ class MemoryBus(Protocol):
     def view(self, pid: int | None = None) -> ByteAddressable: ...
 
 
+def _charge_probe(stats: BusStats, hierarchy: CacheHierarchy,
+                  cost: CostModel, address: int, kind: str) -> None:
+    """Charge one CPU access: a single probe at its first byte (the
+    granularity the course's trace replays use), costed by hit level."""
+    hit_level = hierarchy.access(address, kind).hit_level
+    cycles = 0.0
+    for i, level in enumerate(hierarchy.levels):
+        cycles += level.config.hit_time
+        if hit_level == i:
+            break
+    else:
+        cycles += cost.memory_time
+    stats.charge("cache" if hit_level >= 0 else "memory", cycles)
+
+
 def _charge_hit_levels(stats: BusStats, hierarchy: CacheHierarchy,
                        cost: CostModel, hit_level) -> None:
     """Charge a batch of cache probes from their per-access hit levels.
 
-    The batch analogue of ``_account``'s per-probe charging: a hit at
-    level *i* costs the cumulative hit times through *i* (bucket
+    The batch analogue of :func:`_charge_probe`: a hit at level *i*
+    costs the cumulative hit times through *i* (bucket
     ``cache``); a full miss costs every level plus ``memory_time``
     (bucket ``memory``). With the default integer-valued cost models,
     ``count * cycles`` equals the scalar path's repeated additions
@@ -212,35 +227,22 @@ class CachedBus(ByteAddressable):
         """Caches are shared hardware; every view is the bus."""
         return self
 
-    # one probe per CPU access, at the access's first byte — the same
-    # granularity the course's trace replays use
-    def _account(self, address: int, kind: str) -> None:
-        result = self.hierarchy.access(address, kind)
-        cycles = 0.0
-        for i, level in enumerate(self.hierarchy.levels):
-            cycles += level.config.hit_time
-            if result.hit_level == i:
-                break
-        else:
-            cycles += self.cost.memory_time
-        self.stats.charge("cache" if result.hit_level >= 0 else "memory",
-                          cycles)
-
     def read(self, address: int, size: int) -> bytes:
         data = self.space.read(address, size)
         self.stats.loads += 1
-        self._account(address, "load")
+        _charge_probe(self.stats, self.hierarchy, self.cost, address, "load")
         return data
 
     def write(self, address: int, data: bytes) -> None:
         self.space.write(address, data)
         self.stats.stores += 1
-        self._account(address, "store")
+        _charge_probe(self.stats, self.hierarchy, self.cost, address, "store")
 
     def fetch(self, address: int, size: int) -> bytes:
         data = self.space.fetch(address, size)
         self.stats.fetches += 1
-        self._account(address, "load")    # i-fetch probes like a load
+        # an instruction fetch probes the caches like a load
+        _charge_probe(self.stats, self.hierarchy, self.cost, address, "load")
         return data
 
     def replay_block(self, accesses) -> None:
@@ -384,6 +386,7 @@ class VirtualBus:
                               page_size=page_size, tlb_entries=tlb_entries,
                               recorder=recorder)
         self.page_size = self.mmu.page_size
+        self._offset_bits = self.page_size.bit_length() - 1
         self.hierarchy = hierarchy or default_hierarchy(recorder=recorder)
         self.trace = trace
         self.stats = BusStats()
@@ -435,7 +438,7 @@ class VirtualBus:
         """Translate every page the access touches; charge its latency."""
         proc = self._procs[pid]
         write = kind == "store"
-        offset_bits = self.page_size.bit_length() - 1
+        offset_bits = self._offset_bits
         offset_mask = self.page_size - 1
         addr = address
         end = address + size
@@ -455,20 +458,9 @@ class VirtualBus:
             self.stats.charge(where, cycles)
             if t.page_fault:
                 self.stats.charge("fault", self.cost.fault_service_time)
-            self._probe_cache(t.paddr, kind)
+            _charge_probe(self.stats, self.hierarchy, self.cost, t.paddr,
+                          kind)
             addr = (addr | offset_mask) + 1          # next page (if any)
-
-    def _probe_cache(self, paddr: int, kind: str) -> None:
-        result = self.hierarchy.access(paddr, kind)
-        cycles = 0.0
-        for i, level in enumerate(self.hierarchy.levels):
-            cycles += level.config.hit_time
-            if result.hit_level == i:
-                break
-        else:
-            cycles += self.cost.memory_time
-        self.stats.charge("cache" if result.hit_level >= 0 else "memory",
-                          cycles)
 
     # -- current-process access (the MemoryBus protocol face) ----------------
     # The CPU is always running *some* process; un-pidded accesses route
@@ -523,7 +515,7 @@ class VirtualBus:
         if not accesses:
             return
         proc = self._proc(pid)
-        offset_bits = self.page_size.bit_length() - 1
+        offset_bits = self._offset_bits
         offset_mask = self.page_size - 1
         linears: list[int] = []
         writes: list[bool] = []

@@ -161,9 +161,10 @@ def run_system(program: Program | str, *, bus: str = "flat",
     each with its own page table on one shared
     :class:`~repro.system.bus.VirtualBus`.
 
-    ``jit`` (default on) compiles hot superblocks per machine (see
-    :mod:`repro.isa.jit`); every reported number except wall-clock time
-    is identical either way — the differential tests pin that. Tracing
+    ``jit`` (default on) compiles hot superblocks once per program and
+    binds them per machine (see :mod:`repro.isa.jit`); every reported
+    number except wall-clock time is identical either way — the
+    differential tests pin that. Tracing
     composes with the JIT: an enabled recorder gets one complete-span
     per compiled-block execution (per-instruction spans only where the
     interpreter runs), with identical reported stats either way.

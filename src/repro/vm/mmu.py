@@ -123,6 +123,10 @@ class MMU:
         """Process exit: release its frames, swap slots, and table."""
         table = self._table(pid)
         for vpn in table.resident_pages():
+            if self.tlb.tagged:
+                # a tagged TLB keeps other pids' entries across switches;
+                # drop the dead pid's before its frames can be reused
+                self.tlb.invalidate(pid, vpn)
             self.physical.release(table.entry(vpn).frame)
         self.swap.discard_process(pid)
         del self.page_tables[pid]

@@ -142,6 +142,21 @@ class TestContextSwitching:
         assert mmu.physical.free_count == 2
         assert 1 not in mmu.page_tables
 
+    def test_tagged_tlb_forgets_destroyed_process(self):
+        """A reused pid must not hit the dead process's TLB entries."""
+        mmu = MMU(num_frames=4, tagged_tlb=True)
+        mmu.create_process(1, 4)
+        mmu.create_process(2, 4)
+        mmu.access(0, pid=1)
+        mmu.access(0, pid=2)
+        mmu.destroy_process(1)
+        assert len(mmu.tlb) == 1                 # pid 2's entry survives
+        mmu.create_process(1, 4)
+        t = mmu.access(0, pid=1)
+        assert not t.tlb_hit
+        assert t.page_fault
+        assert mmu.access(0, pid=2).tlb_hit
+
     def test_duplicate_pid_rejected(self):
         mmu = make_mmu()
         mmu.create_process(1, 4)
