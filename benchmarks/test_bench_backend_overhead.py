@@ -20,8 +20,10 @@ the 5× bar is only asserted on multicore per EXPERIMENTS.md.
 
 from benchmarks._harness import BENCH_JSON, emit, emit_json
 from repro.core.mp_backend import (
+    WorkerPool,
     available_cores,
     burn,
+    last_breakdown,
     parallel_map,
     shutdown_pool,
 )
@@ -37,15 +39,24 @@ ITEMS = [2_000] * 8
 SKEWED_COSTS = [16.0] + [1.0] * 15
 
 
-def _mean_overhead(reuse_pool: bool) -> tuple[float, float, object]:
+def _call(per_call: bool):
+    """One map of ITEMS — on a fresh pool, or on the warm module pool —
+    and its breakdown."""
+    if per_call:
+        with WorkerPool(WORKERS) as pool:
+            pool.map(burn, ITEMS)
+        return pool.last_breakdown
+    parallel_map(burn, ITEMS, workers=WORKERS)
+    return last_breakdown()
+
+
+def _mean_overhead(per_call: bool) -> tuple[float, float, object]:
     """Mean (overhead, wall) per call over CALLS calls, plus the last
     call's full breakdown."""
-    from repro.core.mp_backend import last_breakdown
     total_overhead = total_wall = 0.0
     breakdown = None
     for _ in range(CALLS):
-        parallel_map(burn, ITEMS, workers=WORKERS, reuse_pool=reuse_pool)
-        breakdown = last_breakdown()
+        breakdown = _call(per_call)
         total_overhead += breakdown.overhead
         total_wall += breakdown.wall
     return total_overhead / CALLS, total_wall / CALLS, breakdown
@@ -56,11 +67,11 @@ def test_bench_pool_lifecycle(benchmark):
     shutdown_pool()   # measure the persistent pool from genuinely cold
 
     percall_overhead, percall_wall, percall_bd = _mean_overhead(
-        reuse_pool=False)
+        per_call=True)
     # first warm-pool call pays spawn once; measure steady state after it
-    parallel_map(burn, ITEMS, workers=WORKERS, reuse_pool=True)
+    parallel_map(burn, ITEMS, workers=WORKERS)
     persistent_overhead, persistent_wall, persistent_bd = _mean_overhead(
-        reuse_pool=True)
+        per_call=False)
     benchmark.pedantic(
         lambda: parallel_map(burn, ITEMS, workers=WORKERS),
         rounds=1, iterations=1)

@@ -12,10 +12,9 @@ Three views of the same story:
   thread counts, GIL on/off — cpu-bound doesn't scale, io-bound does,
   because blocking I/O releases the lock.
 * **measured backends** (secondary, host-bounded): the identical
-  pure-Python kernel on the serial / thread / process (/subinterpreter
-  where supported) executors. On a GIL-ful build the thread arm stays
-  ≈1× no matter how many cores the host has; the process arm is bounded
-  by physical cores only.
+  pure-Python kernel on the serial / thread / process executors. On a
+  GIL-ful build the thread arm stays ≈1× no matter how many cores the
+  host has; the process arm is bounded by physical cores only.
 
 ``E19_N`` caps the simulated grid for CI smoke runs (default 128).
 """
@@ -145,11 +144,11 @@ def test_bench_measured_backends(benchmark):
     expected = [burn(x) for x in items]
     serial_time = time.perf_counter() - t0
 
-    names = [name for name in ("thread", "process", "subinterpreter")
+    names = [name for name in ("thread", "process")
              if caps[name].available]
     times: dict[str, float] = {}
     for name in names:
-        with get_backend(name, 4, strict=True) as backend:
+        with get_backend(name, 4) as backend:
             backend.map(burn, items)              # warm the executor
             t0 = time.perf_counter()
             assert backend.map(burn, items) == expected
@@ -201,7 +200,7 @@ def test_bench_life_backend_correctness(benchmark):
 
     def run():
         return {name: run_parallel_backend(grid, 2, workers=2,
-                                           backend=name, strict=True)
+                                           backend=name)
                 for name in available}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

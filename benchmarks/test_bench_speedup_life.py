@@ -19,7 +19,8 @@ from repro.core import is_near_linear, scaling_table
 from repro.core.mp_backend import available_cores
 from repro.life import (
     random_grid,
-    run_parallel_mp,
+    run_parallel_backend,
+    run_parallel_shm,
     run_serial_cycles,
     simulated_scaling,
     step,
@@ -75,16 +76,20 @@ def test_bench_measured_multiprocessing(benchmark):
         serial_result = step(serial_result)
     serial_time = time.perf_counter() - t0
 
+    engines = {
+        # per-round pool map: re-pickles the grid to every worker
+        "pickled": lambda r: run_parallel_backend(grid, r, workers=2,
+                                                  backend="process"),
+        "shared": lambda r: run_parallel_shm(grid, r, workers=2),
+    }
     times = {}
-    for method in ("pickled", "shared"):
+    for method, run in engines.items():
         t0 = time.perf_counter()
-        result = run_parallel_mp(grid, rounds, workers=2, method=method)
+        result = run(rounds)
         times[method] = time.perf_counter() - t0
         assert (result == serial_result).all()
 
-    benchmark.pedantic(
-        lambda: run_parallel_mp(grid, 1, workers=2, method="shared"),
-        rounds=1, iterations=1)
+    benchmark.pedantic(lambda: engines["shared"](1), rounds=1, iterations=1)
 
     rows = [("serial", f"{serial_time * 1000:.1f}", "1.00")]
     rows += [(m, f"{times[m] * 1000:.1f}", f"{serial_time / times[m]:.2f}")

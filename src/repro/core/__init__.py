@@ -83,11 +83,6 @@ from repro.core.mp_backend import WorkerPool, get_pool, shutdown_pool
 from repro.core.backends import (
     BACKEND_NAMES,
     BackendCapability,
-    ExecutorBackend,
-    ProcessBackend,
-    SerialBackend,
-    SubinterpreterBackend,
-    ThreadBackend,
     get_backend,
     gil_enabled,
     probe_backends,
@@ -107,9 +102,7 @@ __all__ = [
     "balance_ratio", "CHUNK_MODES", "chunk_indices", "dynamic_chunks",
     "guided_chunks", "schedule_makespan",
     "WorkerPool", "get_pool", "shutdown_pool",
-    "BACKEND_NAMES", "BackendCapability", "ExecutorBackend",
-    "SerialBackend", "ThreadBackend", "ProcessBackend",
-    "SubinterpreterBackend", "get_backend", "gil_enabled",
+    "BACKEND_NAMES", "BackendCapability", "get_backend", "gil_enabled",
     "probe_backends",
     "BoundedBuffer", "run_producer_consumer", "ProducerConsumerResult",
     "SemBoundedBuffer", "run_producer_consumer_sem",

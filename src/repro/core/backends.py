@@ -1,45 +1,27 @@
-"""Pluggable executor backends: threads, processes, subinterpreters.
+"""Executor backends by name, and what this host can run.
 
 The simulated machine answers *why* CPU-bound Python threads don't scale
 (:class:`~repro.core.machine.GilConfig`); this module is the measured
-side of the same ablation. Every backend maps a picklable function over
-items behind one protocol, so E19 can run the identical workload on:
+side of the same ablation. Every backend is a
+:class:`~repro.core.mp_backend.WorkerPool` of one kind — ``serial``,
+``thread`` or ``process`` — so E19 can run the identical workload, with
+identical chunking and :class:`~repro.core.metrics.OverheadBreakdown`
+field meanings, on each.
 
-``serial``
-    A plain loop — the speedup-1.0 baseline.
-``thread``
-    ``concurrent.futures.ThreadPoolExecutor``. Under a stock (GIL-ful)
-    CPython build this is the *negative control*: real threads, shared
-    memory, and still no CPU-bound speedup. On a free-threading build
-    (PEP 703, ``sys._is_gil_enabled() is False``) the same backend
-    becomes truly parallel — the probe reports which world you're in.
-``process``
-    Today's :class:`~repro.core.mp_backend.WorkerPool` — the GIL
-    workaround that actually scales on multicore hosts.
-``subinterpreter``
-    One interpreter per worker, each with its own GIL (PEP 734). Needs
-    ``concurrent.interpreters`` (3.14+) or the ``_interpreters`` /
-    ``_xxsubinterpreters`` bridge; on hosts without it the probe says
-    so and :func:`get_backend` falls back instead of crashing.
-
-Every backend records an :class:`~repro.core.metrics.OverheadBreakdown`
-with the same field meanings as :class:`WorkerPool.map`, so breakdowns
-are comparable across the ablation grid.
+Subinterpreters (PEP 734) are out of scope: they only run CPU-bound
+Python in parallel with per-interpreter GILs (3.12+), and no supported
+host has them.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
 
-from repro.core.metrics import OverheadBreakdown
-from repro.core.mp_backend import WorkerPool, available_cores
-from repro.core.partition import CHUNK_MODES, chunk_indices
-from repro.errors import ReproError
+from repro.core.mp_backend import BACKEND_NAMES, WorkerPool, available_cores
 
-BACKEND_NAMES = ("serial", "thread", "process", "subinterpreter")
+__all__ = ["BACKEND_NAMES", "BackendCapability", "get_backend",
+           "gil_enabled", "probe_backends"]
 
 
 def gil_enabled() -> bool:
@@ -54,46 +36,6 @@ def gil_enabled() -> bool:
     return bool(probe())
 
 
-def _interpreters_module():
-    """The best available subinterpreter API, or None.
-
-    3.14 ships ``concurrent.interpreters``; 3.12/3.13 carry the private
-    ``_interpreters`` / ``_xxsubinterpreters`` modules it grew out of.
-    We only need create/run/destroy, which all three spell compatibly
-    enough to probe for. Anything older than 3.12 is rejected even if
-    ``_xxsubinterpreters`` imports (3.11 has it): those interpreters
-    still *share* one GIL — per-interpreter GILs are PEP 684, 3.12 —
-    so the backend would probe "available" yet measure nothing.
-    """
-    if sys.version_info < (3, 12):
-        return None
-    for name in ("concurrent.interpreters", "_interpreters",
-                 "_xxsubinterpreters"):
-        try:
-            __import__(name)
-        except ImportError:
-            continue
-        mod = sys.modules[name]
-        if all(hasattr(mod, attr) for attr in ("create", "destroy")):
-            return mod
-    return None
-
-
-@runtime_checkable
-class ExecutorBackend(Protocol):
-    """What E19 and the life wrappers program against."""
-
-    name: str
-    workers: int
-    last_breakdown: OverheadBreakdown
-
-    def map(self, fn: Callable, items: Sequence, *,
-            chunk_mode: str = "block",
-            chunk_size: int | None = None) -> list: ...
-
-    def shutdown(self) -> None: ...
-
-
 @dataclass(frozen=True)
 class BackendCapability:
     """One row of :func:`probe_backends`."""
@@ -102,279 +44,16 @@ class BackendCapability:
     parallel: bool           # can it use >1 core for CPU-bound work?
     detail: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        mark = "yes" if self.available else "no "
-        par = "parallel" if self.parallel else "serial-equivalent"
-        return f"{self.name:<15} available={mark} {par:<18} {self.detail}"
-
-
-class SerialBackend:
-    """A plain in-process loop; the denominator of every speedup."""
-
-    name = "serial"
-
-    def __init__(self, workers: int | None = None, **_ignored) -> None:
-        self.workers = 1
-        self.last_breakdown = OverheadBreakdown()
-
-    def map(self, fn: Callable, items: Sequence, *,
-            chunk_mode: str = "block",
-            chunk_size: int | None = None) -> list:
-        if chunk_mode not in CHUNK_MODES:
-            raise ReproError(f"unknown chunk mode {chunk_mode!r}; "
-                             f"valid modes: {', '.join(CHUNK_MODES)}")
-        t0 = time.perf_counter()
-        out = [fn(x) for x in items]
-        wall = time.perf_counter() - t0
-        self.last_breakdown = OverheadBreakdown(compute=wall, wall=wall)
-        return out
-
-    def shutdown(self) -> None:
-        pass
-
-    def __enter__(self) -> "SerialBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-
-class ThreadBackend:
-    """``ThreadPoolExecutor`` with the same chunking as WorkerPool.
-
-    The GIL-bound baseline on stock CPython: dispatch and shared memory
-    are nearly free, but CPU-bound chunks serialize on the interpreter
-    lock, so expect speedup ≈ 1 (the E19 negative control). On a
-    free-threading build the identical code scales — that contrast *is*
-    the experiment. I/O-bound or C-extension workloads that release the
-    GIL also genuinely overlap here.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: int | None = None, **_ignored) -> None:
-        if workers is not None and workers <= 0:
-            raise ReproError("workers must be positive")
-        self.workers = workers if workers is not None else available_cores()
-        self._executor = None
-        self.spawn_count = 0
-        self.last_breakdown = OverheadBreakdown()
-
-    @property
-    def is_alive(self) -> bool:
-        return self._executor is not None
-
-    def _ensure_started(self) -> float:
-        if self._executor is not None:
-            return 0.0
-        from concurrent.futures import ThreadPoolExecutor
-        t0 = time.perf_counter()
-        self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        self.spawn_count += 1
-        return time.perf_counter() - t0
-
-    def map(self, fn: Callable, items: Sequence, *,
-            chunk_mode: str = "block",
-            chunk_size: int | None = None) -> list:
-        if chunk_mode not in CHUNK_MODES:
-            raise ReproError(f"unknown chunk mode {chunk_mode!r}; "
-                             f"valid modes: {', '.join(CHUNK_MODES)}")
-        n = len(items)
-        wall0 = time.perf_counter()
-        if n == 0:
-            self.last_breakdown = OverheadBreakdown()
-            return []
-        spawn = self._ensure_started()
-
-        def run_chunk(indices):
-            t0 = time.perf_counter()
-            results = [fn(items[i]) for i in indices]
-            return indices, results, time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        chunks = [c for c in chunk_indices(n, self.workers, chunk_mode,
-                                           chunk_size) if c]
-        assert self._executor is not None
-        futures = [self._executor.submit(run_chunk, c) for c in chunks]
-        dispatch = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        parts = [f.result() for f in futures]
-        wait = time.perf_counter() - t0
-
-        out: list = [None] * n
-        compute = 0.0
-        for indices, results, seconds in parts:
-            compute += seconds
-            for i, r in zip(indices, results):
-                out[i] = r
-        k = min(self.workers, len(chunks))
-        self.last_breakdown = OverheadBreakdown(
-            spawn=spawn, dispatch=dispatch, compute=compute,
-            sync=max(0.0, wait - compute / k),
-            wall=time.perf_counter() - wall0)
-        return out
-
-    def shutdown(self) -> None:
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __enter__(self) -> "ThreadBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-
-class ProcessBackend:
-    """Thin adapter: today's :class:`WorkerPool` behind the protocol."""
-
-    name = "process"
-
-    def __init__(self, workers: int | None = None, *,
-                 start_method: str | None = None, recorder=None) -> None:
-        self._pool = WorkerPool(workers, start_method=start_method,
-                                recorder=recorder)
-        self.workers = self._pool.workers
-
-    @property
-    def last_breakdown(self) -> OverheadBreakdown:
-        return self._pool.last_breakdown
-
-    @property
-    def is_alive(self) -> bool:
-        return self._pool.is_alive
-
-    def map(self, fn: Callable, items: Sequence, *,
-            chunk_mode: str = "block",
-            chunk_size: int | None = None) -> list:
-        return self._pool.map(fn, items, chunk_mode=chunk_mode,
-                              chunk_size=chunk_size)
-
-    def shutdown(self) -> None:
-        self._pool.shutdown()
-
-    def __enter__(self) -> "ProcessBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-
-class SubinterpreterBackend:
-    """One interpreter (own GIL) per worker — PEP 734 parallelism.
-
-    Only constructible when the host exposes a subinterpreter API (see
-    :func:`_interpreters_module`); everywhere else it raises, and
-    :func:`probe_backends` / :func:`get_backend` report or fall back
-    instead. On hosts that do support it, the 3.14
-    ``concurrent.interpreters`` API is driven through
-    ``InterpreterPoolExecutor`` when present, else interpreters are run
-    one-shot per chunk — correct but spawn-heavy, which the breakdown's
-    ``spawn`` column makes visible rather than hiding.
-    """
-
-    name = "subinterpreter"
-
-    def __init__(self, workers: int | None = None, **_ignored) -> None:
-        if workers is not None and workers <= 0:
-            raise ReproError("workers must be positive")
-        self._api = _interpreters_module()
-        if self._api is None:
-            raise ReproError(
-                "subinterpreter backend unavailable: this host has none "
-                "of concurrent.interpreters / _interpreters / "
-                "_xxsubinterpreters (needs CPython >= 3.12 with the "
-                "per-interpreter-GIL work); use get_backend(..., "
-                "strict=False) to fall back to processes")
-        self.workers = workers if workers is not None else available_cores()
-        self._executor = None
-        self.last_breakdown = OverheadBreakdown()
-
-    def _ensure_executor(self) -> float:
-        if self._executor is not None:
-            return 0.0
-        try:
-            from concurrent.futures import InterpreterPoolExecutor
-        except ImportError:
-            return 0.0          # one-shot mode; spawn is paid per map
-        t0 = time.perf_counter()
-        self._executor = InterpreterPoolExecutor(max_workers=self.workers)
-        return time.perf_counter() - t0
-
-    def map(self, fn: Callable, items: Sequence, *,
-            chunk_mode: str = "block",
-            chunk_size: int | None = None) -> list:
-        if chunk_mode not in CHUNK_MODES:
-            raise ReproError(f"unknown chunk mode {chunk_mode!r}; "
-                             f"valid modes: {', '.join(CHUNK_MODES)}")
-        n = len(items)
-        wall0 = time.perf_counter()
-        if n == 0:
-            self.last_breakdown = OverheadBreakdown()
-            return []
-        spawn = self._ensure_executor()
-        if self._executor is None:
-            # No executor API: fall back to calling fn in-process. A
-            # faithful one-shot interp-per-chunk path needs pickling
-            # plumbing that the executor already provides on the hosts
-            # new enough to have interpreters at all, so this branch
-            # only exists for exotic partial builds.
-            out = [fn(x) for x in items]
-            wall = time.perf_counter() - wall0
-            self.last_breakdown = OverheadBreakdown(compute=wall, wall=wall)
-            return out
-
-        def run_chunk(indices, chunk_items):
-            t0 = time.perf_counter()
-            results = [fn(x) for x in chunk_items]
-            return indices, results, time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        chunks = [c for c in chunk_indices(n, self.workers, chunk_mode,
-                                           chunk_size) if c]
-        futures = [self._executor.submit(run_chunk, c,
-                                         [items[i] for i in c])
-                   for c in chunks]
-        dispatch = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        parts = [f.result() for f in futures]
-        wait = time.perf_counter() - t0
-        out = [None] * n
-        compute = 0.0
-        for indices, results, seconds in parts:
-            compute += seconds
-            for i, r in zip(indices, results):
-                out[i] = r
-        k = min(self.workers, len(chunks))
-        self.last_breakdown = OverheadBreakdown(
-            spawn=spawn, dispatch=dispatch, compute=compute,
-            sync=max(0.0, wait - compute / k),
-            wall=time.perf_counter() - wall0)
-        return out
-
-    def shutdown(self) -> None:
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __enter__(self) -> "SubinterpreterBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
 
 def probe_backends() -> list[BackendCapability]:
     """What this host can actually run — one row per backend.
 
-    Never raises: unavailable backends come back with ``available=False``
-    and a human-readable reason, so CI can log the table and *skip*
-    what's missing instead of failing.
+    Never raises: every backend is constructible, and the ``parallel``
+    column says whether it can beat serial on CPU-bound work here.
     """
     free_threaded = not gil_enabled()
-    caps = [
+    cores = available_cores()
+    return [
         BackendCapability("serial", True, False, "plain loop baseline"),
         BackendCapability(
             "thread", True, free_threaded,
@@ -382,50 +61,17 @@ def probe_backends() -> list[BackendCapability]:
             if free_threaded else
             f"GIL-bound on Python {sys.version_info.major}."
             f"{sys.version_info.minor}: concurrency without parallelism"),
+        BackendCapability(
+            "process", True, cores > 1,
+            f"{cores} core(s) visible"
+            + ("" if cores > 1 else ": parallel API, serial host")),
     ]
-    try:
-        import multiprocessing  # noqa: F401  (stdlib, but probe anyway)
-        caps.append(BackendCapability(
-            "process", True, available_cores() > 1,
-            f"{available_cores()} core(s) visible"
-            + ("" if available_cores() > 1
-               else ": parallel API, serial host")))
-    except ImportError as exc:  # pragma: no cover - never on CPython
-        caps.append(BackendCapability("process", False, False, str(exc)))
-    api = _interpreters_module()
-    if api is None:
-        caps.append(BackendCapability(
-            "subinterpreter", False, False,
-            "no interpreters API (needs CPython >= 3.12 "
-            "per-interpreter GIL)"))
-    else:
-        caps.append(BackendCapability(
-            "subinterpreter", True, available_cores() > 1,
-            f"via {api.__name__}"))
-    return caps
 
 
-def get_backend(name: str, workers: int | None = None, *,
-                strict: bool = False, **kwargs) -> ExecutorBackend:
-    """Construct a backend by name, degrading gracefully.
-
-    With ``strict=False`` (the default) an unavailable backend falls
-    back: subinterpreter → process. With ``strict=True`` the
-    :class:`~repro.errors.ReproError` propagates — for tests and for
-    users who would rather fail than silently measure the wrong thing.
-    """
-    if name not in BACKEND_NAMES:
-        raise ReproError(f"unknown backend {name!r}; "
-                         f"valid backends: {', '.join(BACKEND_NAMES)}")
-    if name == "serial":
-        return SerialBackend(workers)
-    if name == "thread":
-        return ThreadBackend(workers, **kwargs)
-    if name == "process":
-        return ProcessBackend(workers, **kwargs)
-    try:
-        return SubinterpreterBackend(workers)
-    except ReproError:
-        if strict:
-            raise
-        return ProcessBackend(workers, **kwargs)
+def get_backend(name: str, workers: int | None = None,
+                **kwargs) -> WorkerPool:
+    """A :class:`WorkerPool` of kind ``name`` (``serial`` / ``thread`` /
+    ``process``); ``kwargs`` go to the pool (``start_method``,
+    ``recorder``). Unknown names raise
+    :class:`~repro.errors.ReproError` listing the valid ones."""
+    return WorkerPool(workers, kind=name, **kwargs)

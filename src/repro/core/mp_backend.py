@@ -1,4 +1,4 @@
-"""Real parallelism via multiprocessing (the GIL workaround).
+"""Real parallelism: one chunked executor for threads and processes.
 
 CPython's GIL means ``threading`` cannot speed up CPU-bound work, so the
 library's *real* parallel backend uses processes — the standard Python
@@ -7,19 +7,33 @@ simulated machine (:mod:`repro.core.machine`) carries the deterministic
 speedup experiments; this backend exists so the same partitioned
 workloads can run with actual OS-level parallelism on multicore hosts,
 and so measured wall-clock numbers can be reported alongside simulated
-ones (benches E3 and E12 do both).
+ones (benches E3, E12 and E19 do both).
 
-The backend keeps a **persistent worker pool**: spawning processes costs
-tens of milliseconds, so a fresh pool per call buries small workloads in
+:class:`WorkerPool` is that executor. Its ``kind`` picks the workers:
+
+``serial``
+    A plain loop in the caller — the speedup-1.0 baseline.
+``thread``
+    ``concurrent.futures.ThreadPoolExecutor``. Under a stock (GIL-ful)
+    CPython build this is the *negative control*: real threads, shared
+    memory, and still no CPU-bound speedup. On a free-threading build
+    (PEP 703) the same code becomes truly parallel.
+``process`` (the default)
+    ``concurrent.futures.ProcessPoolExecutor`` — the GIL workaround that
+    actually scales on multicore hosts.
+
+The pool is **persistent**: spawning processes costs tens of
+milliseconds, so a fresh pool per call buries small workloads in
 startup overhead — exactly the pitfall that makes students conclude
-"parallelism made it slower". :class:`WorkerPool` spawns lazily on first
-use, is reused warm across :func:`parallel_map` calls, and records an
+"parallelism made it slower". Workers spawn lazily on first use, are
+reused warm across calls, and every call records an
 :class:`~repro.core.metrics.OverheadBreakdown` (spawn/dispatch/compute/
-sync seconds) per call so benchmarks can report *where* time goes.
+sync seconds) so benchmarks can report *where* time goes.
 
 Chunk scheduling is pluggable (``block``, ``cyclic``, ``dynamic``,
-``guided`` — see :mod:`repro.core.partition`); the work-queue modes help
-imbalanced loads at the cost of more dispatch.
+``guided`` — see :mod:`repro.core.partition`); each chunk is one
+submitted task, so idle workers pull the next one and the work-queue
+modes help imbalanced loads at the cost of more dispatch.
 
 Measured speedup here is bounded by the host's physical cores; on a
 single-core CI machine it will hover near (or below) 1×. That is the
@@ -32,35 +46,45 @@ import atexit
 import multiprocessing as mp
 import os
 import time
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.metrics import OverheadBreakdown
 from repro.core.partition import CHUNK_MODES, chunk_indices
 from repro.errors import ReproError
 
+#: the executor kinds :class:`WorkerPool` can run on
+BACKEND_NAMES = ("serial", "thread", "process")
+
 
 def available_cores() -> int:
     return os.cpu_count() or 1
 
 
-# Top-level so it can be pickled by multiprocessing.
-def _run_chunk(args: tuple) -> tuple:
-    fn, indices, items = args
+# Top-level so process workers can unpickle them.
+def _run_chunk(fn: Callable, indices: list[int], items: list) -> tuple:
     t0 = time.perf_counter()
     results = [fn(x) for x in items]
     return indices, results, time.perf_counter() - t0
 
 
-class WorkerPool:
-    """A reusable process pool with pluggable chunk scheduling.
+def _noop() -> None:
+    pass
 
-    Lazy: no processes exist until the first :meth:`map`. Warm: later
-    calls reuse the same workers, so only the first call pays spawn cost
-    (``last_breakdown.spawn`` is 0.0 on a warm call). Start-method aware:
-    pass ``start_method="spawn"`` (or ``"fork"``/``"forkserver"``) to
-    override the platform default; under *spawn*, mapped functions and
-    items must be importable/picklable in a fresh interpreter.
+
+class WorkerPool:
+    """A reusable serial, thread or process pool with chunk scheduling.
+
+    Lazy: no workers exist until the first :meth:`map` that needs them.
+    Warm: later calls reuse the same workers, so only the first call
+    pays spawn cost (``last_breakdown.spawn`` is 0.0 on a warm call).
+    Start-method aware: pass ``start_method="spawn"`` (or ``"fork"``/
+    ``"forkserver"``) to override the platform default for process
+    workers; under *spawn*, mapped functions and items must be
+    importable/picklable in a fresh interpreter.
+
+    A process worker that dies, mid-call or between calls, breaks the
+    pool: :meth:`map` raises :class:`~repro.errors.ReproError` at once
+    and drops the broken workers, so the next call respawns them.
 
     Call :meth:`shutdown` (or use it as a context manager) when done;
     the module-level default pool (:func:`get_pool`) is shut down at
@@ -68,28 +92,51 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int | None = None, *,
-                 start_method: str | None = None, recorder=None) -> None:
+                 kind: str = "process", start_method: str | None = None,
+                 recorder=None) -> None:
         from repro.obs.recorder import coalesce
+        if kind not in BACKEND_NAMES:
+            raise ReproError(f"unknown backend {kind!r}; "
+                             f"valid backends: {', '.join(BACKEND_NAMES)}")
         if workers is not None and workers <= 0:
             raise ReproError("workers must be positive")
-        self.workers = workers if workers is not None else available_cores()
+        self.kind = kind
+        if kind == "serial":
+            self.workers = 1
+        elif workers is None:
+            self.workers = available_cores()
+        else:
+            self.workers = workers
         self._ctx = mp.get_context(start_method)
-        self._pool: mp.pool.Pool | None = None
+        self._executor = None
         self.spawn_count = 0            # how many times workers were created
         self.last_breakdown = OverheadBreakdown()
         #: shared trace recorder (see repro.obs); NULL_RECORDER when off
         self.recorder = coalesce(recorder)
 
+    def __repr__(self) -> str:
+        return f"WorkerPool(kind={self.kind!r}, workers={self.workers})"
+
     @property
     def is_alive(self) -> bool:
-        return self._pool is not None
+        return self._executor is not None
 
     def _ensure_started(self) -> float:
-        """Spawn the workers if needed; returns the spawn seconds paid."""
-        if self._pool is not None:
+        """Start the workers if needed; returns the spawn seconds paid."""
+        if self._executor is not None:
             return 0.0
         t0 = time.perf_counter()
-        self._pool = self._ctx.Pool(processes=self.workers)
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+        if self.kind == "thread":
+            self._executor = ThreadPoolExecutor(max_workers=self.workers)
+        else:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers,
+                                                 mp_context=self._ctx)
+            # the executor starts its workers on submit; pay for that
+            # here so spawn, not dispatch, carries start-up
+            for f in [self._executor.submit(_noop)
+                      for _ in range(self.workers)]:
+                f.result()
         self.spawn_count += 1
         return time.perf_counter() - t0
 
@@ -109,38 +156,49 @@ class WorkerPool:
         if n == 0:
             self.last_breakdown = OverheadBreakdown()
             return []
-        if n == 1:
-            # Deliberate inline fast path: one item never spawns or
-            # touches workers (pinned by tests), so the whole call is
-            # compute — but it must still announce itself on the mp
-            # track, or span-based comparisons (E12/E19) silently lose
-            # warm-up calls.
-            result = [fn(items[0])]
+        if n == 1 or self.kind == "serial":
+            # Deliberate inline path: a serial pool, or one item, never
+            # spawns or touches workers (pinned by tests), so the whole
+            # call is compute — but it must still announce itself on
+            # the mp track, or span-based comparisons (E12/E19)
+            # silently lose warm-up calls.
+            result = [fn(x) for x in items]
             wall = time.perf_counter() - wall0
             self.last_breakdown = OverheadBreakdown(compute=wall, wall=wall)
             if self.recorder.enabled:
                 self.recorder.complete(
                     "inline", ts=self.recorder.now(), dur=wall * 1e6,
                     pid="mp", tid="pool", cat="mp",
-                    args={"seconds": wall, "items": 1,
+                    args={"seconds": wall, "items": n,
                           "chunk_mode": chunk_mode})
             return result
         spawn = self._ensure_started()
+        from concurrent.futures import BrokenExecutor
 
         t0 = time.perf_counter()
-        chunks = [(fn, chunk, [items[i] for i in chunk])
-                  for chunk in chunk_indices(n, self.workers, chunk_mode,
-                                             chunk_size)
-                  if chunk]
-        assert self._pool is not None
-        # chunksize=1 so the pool's internal task queue *is* the work
+        chunks = [c for c in chunk_indices(n, self.workers, chunk_mode,
+                                           chunk_size) if c]
+        # one task per chunk, so the executor's queue *is* the work
         # queue: idle workers pull the next chunk (dynamic scheduling);
-        # for block/cyclic there is exactly one chunk per worker anyway.
-        pending = self._pool.map_async(_run_chunk, chunks, chunksize=1)
-        dispatch = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        parts = pending.get()
+        # for block/cyclic there is exactly one chunk per worker anyway
+        futures: list = []
+        try:
+            # a worker that died while idle breaks the pool before any
+            # result is read: submit raises then
+            for c in chunks:
+                futures.append(self._executor.submit(
+                    _run_chunk, fn, c, [items[i] for i in c]))
+            dispatch = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            parts = [f.result() for f in futures]
+        except BrokenExecutor as exc:
+            self.shutdown()
+            raise ReproError(f"{self!r} lost a worker ({exc}); "
+                             "the next map respawns the pool") from exc
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise
         wait = time.perf_counter() - t0
 
         out: list = [None] * n
@@ -185,16 +243,9 @@ class WorkerPool:
     def shutdown(self) -> None:
         """Stop the workers (idempotent). The pool can be restarted —
         the next :meth:`map` lazily spawns fresh workers."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        try:
-            pool.close()
-            pool.join()
-        except Exception:
-            pool.terminate()
-            pool.join()
-            raise
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -210,7 +261,7 @@ _last_breakdown = OverheadBreakdown()
 
 
 def get_pool(workers: int | None = None) -> WorkerPool:
-    """The shared persistent pool, (re)created to match ``workers``.
+    """The shared persistent process pool, (re)created to match ``workers``.
 
     Repeated calls with the same worker count return the same warm pool;
     asking for a different count shuts the old one down first.
@@ -246,9 +297,7 @@ def parallel_map(fn: Callable, items: Sequence, *,
                  workers: int | None = None,
                  chunk_mode: str = "block",
                  chunk_size: int | None = None,
-                 pool: WorkerPool | None = None,
-                 reuse_pool: bool = True,
-                 backend: str | None = None) -> list:
+                 pool: WorkerPool | None = None) -> list:
     """Map ``fn`` over ``items`` using a process pool.
 
     ``fn`` must be picklable (defined at module top level). Results keep
@@ -258,77 +307,22 @@ def parallel_map(fn: Callable, items: Sequence, *,
 
     By default the shared persistent pool (:func:`get_pool`) does the
     work, so only the first call pays process spawn. Pass an explicit
-    ``pool`` to manage the lifecycle yourself, or ``reuse_pool=False``
-    to get the old cold-start behaviour (a fresh pool per call — kept
-    for the E12 overhead comparison; don't use it on hot paths).
-
-    ``backend`` selects an executor by name instead (``serial`` /
-    ``thread`` / ``process`` / ``subinterpreter`` — see
-    :mod:`repro.core.backends`); unavailable backends fall back
-    gracefully, and the backend's breakdown lands in
-    :func:`last_breakdown` like any other call.
+    ``pool`` — of any kind — to manage the lifecycle yourself; a fresh
+    ``with WorkerPool(n) as p: p.map(...)`` is the cold-start baseline
+    bench E12 compares against.
     """
     global _last_breakdown
-    if backend is not None and backend != "process":
-        from repro.core.backends import get_backend
-        with get_backend(backend, workers) as chosen:
-            out = chosen.map(fn, items, chunk_mode=chunk_mode,
-                             chunk_size=chunk_size)
-            _last_breakdown = chosen.last_breakdown
-        return out
-    if chunk_mode not in CHUNK_MODES:
-        raise ReproError(f"unknown chunk mode {chunk_mode!r}; "
-                         f"valid modes: {', '.join(CHUNK_MODES)}")
     if workers is not None and workers <= 0:
         raise ReproError("workers must be positive")
-    n_workers = workers if workers is not None else available_cores()
-    if n_workers == 1 or len(items) <= 1:
-        t0 = time.perf_counter()
-        out = [fn(x) for x in items]
-        wall = time.perf_counter() - t0
-        _last_breakdown = OverheadBreakdown(compute=wall, wall=wall)
-        return out
-    if pool is not None:
-        out = pool.map(fn, items, chunk_mode=chunk_mode,
-                       chunk_size=chunk_size)
-        _last_breakdown = pool.last_breakdown
-        return out
-    if reuse_pool:
-        shared = get_pool(n_workers)
-        out = shared.map(fn, items, chunk_mode=chunk_mode,
-                         chunk_size=chunk_size)
-        _last_breakdown = shared.last_breakdown
-        return out
-    with WorkerPool(n_workers) as throwaway:
-        out = throwaway.map(fn, items, chunk_mode=chunk_mode,
-                            chunk_size=chunk_size)
-        _last_breakdown = throwaway.last_breakdown
+    if pool is None:
+        n_workers = workers if workers is not None else available_cores()
+        if n_workers == 1 or len(items) <= 1:
+            pool = WorkerPool(kind="serial")
+        else:
+            pool = get_pool(n_workers)
+    out = pool.map(fn, items, chunk_mode=chunk_mode, chunk_size=chunk_size)
+    _last_breakdown = pool.last_breakdown
     return out
-
-
-@dataclass(frozen=True)
-class MeasuredRun:
-    """Wall-clock measurement of one worker count."""
-    workers: int
-    seconds: float
-
-
-def measure_parallel_map(fn: Callable, items: Sequence,
-                         worker_counts: list[int],
-                         *, repeats: int = 1,
-                         chunk_mode: str = "block",
-                         reuse_pool: bool = True) -> list[MeasuredRun]:
-    """Time parallel_map at several worker counts (best of ``repeats``)."""
-    runs = []
-    for w in worker_counts:
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            parallel_map(fn, items, workers=w, chunk_mode=chunk_mode,
-                         reuse_pool=reuse_pool)
-            best = min(best, time.perf_counter() - t0)
-        runs.append(MeasuredRun(w, best))
-    return runs
 
 
 # A picklable CPU-bound kernel for demos and tests.

@@ -39,8 +39,6 @@ from repro.life.parallel import (
     CELL_CYCLES,
     ParallelLife,
     run_parallel_backend,
-    run_parallel_mp,
-    run_parallel_pickled,
     run_parallel_shm,
     run_serial_cycles,
     simulated_scaling,
@@ -61,8 +59,8 @@ __all__ = [
     "pattern_displacement", "place", "make",
     "GameOfLife", "step", "step_reference", "step_rows", "step_band",
     "neighbor_counts", "band_neighbor_counts", "find_cycle",
-    "ParallelLife", "step_region", "run_parallel_mp", "run_parallel_shm",
-    "run_parallel_pickled", "run_parallel_backend", "simulated_scaling",
+    "ParallelLife", "step_region", "run_parallel_shm",
+    "run_parallel_backend", "simulated_scaling",
     "run_serial_cycles", "CELL_CYCLES",
     "render", "render_regions", "animate", "frame_sequence",
     "population_sparkline",

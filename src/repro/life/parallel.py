@@ -12,13 +12,15 @@ barriers per round (compute-done, swap-done). A mutex protects the
 shared population counter. Knobs exist to *remove* the barrier (the
 race-condition demo) and to vary lock granularity (bench E9's ablation).
 
-A multiprocessing variant provides real parallel execution of the same
-partitioned computation for wall-clock measurements (bench E3).
+Two real-parallel engines run the same partitioned computation for
+wall-clock measurements (bench E3): a shared-memory one and one on any
+executor backend.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Literal
@@ -190,15 +192,14 @@ def simulated_scaling(grid: np.ndarray, rounds: int,
 
 
 # ---------------------------------------------------------------------------
-# Real parallelism: multiprocessing backends
+# Real parallelism: two engines for the same row-partitioned computation
 # ---------------------------------------------------------------------------
 #
-# Two implementations of the same row-partitioned computation:
-#
-# * ``pickled`` — the naive port: a pool maps over bands, re-pickling
-#   the full grid to every worker every generation. Kept as the E12
-#   baseline; its speedup is dominated by serialization.
-# * ``shared`` (default) — zero-copy: two grid-sized buffers live in
+# * :func:`run_parallel_backend` — the naive port: an executor backend
+#   maps over bands each generation. On ``process`` workers that
+#   re-pickles the full grid to every worker every generation, so its
+#   speedup is dominated by serialization (E3's "pickled" arm).
+# * :func:`run_parallel_shm` — zero-copy: two grid-sized buffers live in
 #   ``multiprocessing.shared_memory``; workers attach numpy views once
 #   and step their row strips in place for all generations, alternating
 #   which buffer is "current" by round parity and meeting at two
@@ -206,7 +207,7 @@ def simulated_scaling(grid: np.ndarray, rounds: int,
 #   simulated engine). Nothing grid-sized crosses a process boundary
 #   after startup.
 
-#: generous ceilings so a crashed worker turns into an error, not a hang
+#: generous ceilings so a hung (not dead) worker turns into an error
 _BARRIER_TIMEOUT = 300.0
 _JOIN_TIMEOUT = 600.0
 
@@ -226,40 +227,6 @@ def _mp_band(args: tuple) -> tuple[int, np.ndarray]:
               | ((band == 1) & ((counts == 2) | (counts == 3)))
               ).astype(np.uint8)
     return row_start, result
-
-
-def run_parallel_pickled(grid: np.ndarray, rounds: int, *,
-                         workers: int, mode: EdgeMode = "torus"
-                         ) -> np.ndarray:
-    """Row-partitioned rounds on a pool, re-pickling the grid per round.
-
-    Semantically identical to the serial engine; wall-clock speedup is
-    bounded by physical cores *and* by serializing the whole grid to
-    every worker every generation — the overhead the shared-memory
-    variant removes.
-    """
-    if workers < 1:
-        raise ReproError("need at least one worker")
-    if workers == 1:
-        return _run_serial(grid, rounds, mode)
-    current = grid.astype(np.uint8).copy()
-    bands = partition_grid(grid.shape[0], grid.shape[1], workers, "row")
-    pool = mp.Pool(processes=workers)
-    try:
-        for _ in range(rounds):
-            tasks = [(current, b.row_start, b.row_end, mode)
-                     for b in bands if b.row_end > b.row_start]
-            out = np.zeros_like(current)
-            for row_start, result in pool.map(_mp_band, tasks):
-                out[row_start:row_start + result.shape[0]] = result
-            current = out
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    return current
 
 
 # Top-level so it works under the "spawn" start method too.
@@ -293,6 +260,35 @@ def _shm_step_rounds(buf_a, buf_b, shape, row_start, row_end, rounds,
         barrier.wait(_BARRIER_TIMEOUT)   # swap visible to all
 
 
+def _join_shm_workers(procs: list, bands: list[GridRegion], barrier) -> None:
+    """Wait for every worker; fail fast on the first that dies.
+
+    Waits on all process sentinels at once, so a dead worker is seen as
+    soon as it exits, whichever band it owns. Its siblings are then
+    blocked at a barrier that can never fill: aborting it makes their
+    ``wait`` raise at once instead of sitting out the timeout.
+    """
+    from multiprocessing.connection import wait
+    pending = {p.sentinel: (p, b) for p, b in zip(procs, bands)}
+    deadline = time.monotonic() + _JOIN_TIMEOUT
+    while pending:
+        ready = wait(list(pending),
+                     timeout=max(0.0, deadline - time.monotonic()))
+        if not ready:
+            barrier.abort()
+            raise ReproError(f"shared-memory life workers still running "
+                             f"after {_JOIN_TIMEOUT:.0f} s")
+        for sentinel in ready:
+            p, b = pending.pop(sentinel)
+            p.join()
+            if p.exitcode != 0:
+                barrier.abort()
+                raise ReproError(
+                    f"shared-memory life worker {p.name} (rows "
+                    f"{b.row_start}-{b.row_end}) exited with code "
+                    f"{p.exitcode}")
+
+
 def run_parallel_shm(grid: np.ndarray, rounds: int, *,
                      workers: int, mode: EdgeMode = "torus") -> np.ndarray:
     """Zero-copy rounds: workers step shared-memory strips in place.
@@ -303,16 +299,17 @@ def run_parallel_shm(grid: np.ndarray, rounds: int, *,
     barrier syncs per round. No per-generation pickling at all.
 
     The parent owns both segments and always ``close()``es and
-    ``unlink()``s them, even on worker failure. Bit-identical to the
-    serial engine (asserted by tests against every library pattern).
+    ``unlink()``s them, even on worker failure; a worker that dies
+    raises :class:`~repro.errors.ReproError` naming its band as soon as
+    it exits. Bit-identical to the serial engine (asserted by tests
+    against every library pattern).
     """
     if workers < 1:
         raise ReproError("need at least one worker")
     if rounds < 0:
         raise ReproError("rounds cannot be negative")
     if mode not in ("torus", "bounded"):
-        # fail fast in the parent: a worker raising this instead would
-        # leave its siblings blocked at the barrier until timeout
+        # fail fast in the parent, before any worker or segment exists
         raise ReproError(f"unknown edge mode {mode!r}")
     seed = grid.astype(np.uint8)
     if rounds == 0:
@@ -342,10 +339,7 @@ def run_parallel_shm(grid: np.ndarray, rounds: int, *,
                             name=f"life-shm-{i}")
             p.start()
             procs.append(p)
-        for p in procs:
-            p.join(_JOIN_TIMEOUT)
-        if any(p.is_alive() or p.exitcode != 0 for p in procs):
-            raise ReproError("shared-memory life worker failed")
+        _join_shm_workers(procs, bands, barrier)
         return buffers[rounds % 2].copy()
     finally:
         for p in procs:
@@ -363,19 +357,18 @@ def run_parallel_shm(grid: np.ndarray, rounds: int, *,
 
 def run_parallel_backend(grid: np.ndarray, rounds: int, *,
                          workers: int, backend: str = "process",
-                         mode: EdgeMode = "torus",
-                         strict: bool = False) -> np.ndarray:
+                         mode: EdgeMode = "torus") -> np.ndarray:
     """Row-partitioned rounds on a named executor backend.
 
-    The same per-round band computation as :func:`run_parallel_pickled`,
-    but the mapping runs on any :mod:`repro.core.backends` executor —
-    ``serial`` / ``thread`` / ``process`` / ``subinterpreter`` — so E19
-    can put the identical workload on every backend the host supports.
-    The ``thread`` arm shares the grid by reference (no pickling), yet
-    on a GIL-ful build still shows speedup ≈ 1 for this CPU-bound
-    kernel: that contrast with ``process`` is the measured counterpart
-    of the simulated-GIL ablation. Unavailable backends fall back per
-    :func:`~repro.core.backends.get_backend` unless ``strict``.
+    Each generation maps the band computation over a
+    :class:`~repro.core.mp_backend.WorkerPool` of kind ``backend`` —
+    ``serial`` / ``thread`` / ``process`` — so E3 and E19 can put the
+    identical workload on each. The ``process`` arm re-pickles the grid
+    to every worker every generation: the overhead the shared-memory
+    engine removes. The ``thread`` arm shares the grid by reference (no
+    pickling), yet on a GIL-ful build still shows speedup ≈ 1 for this
+    CPU-bound kernel: that contrast with ``process`` is the measured
+    counterpart of the simulated-GIL ablation.
     """
     from repro.core.backends import get_backend
     if workers < 1:
@@ -388,7 +381,7 @@ def run_parallel_backend(grid: np.ndarray, rounds: int, *,
     bands = [b for b in partition_grid(grid.shape[0], grid.shape[1],
                                        workers, "row")
              if b.row_end > b.row_start]
-    with get_backend(backend, workers, strict=strict) as chosen:
+    with get_backend(backend, workers) as chosen:
         for _ in range(rounds):
             tasks = [(current, b.row_start, b.row_end, mode)
                      for b in bands]
@@ -397,26 +390,3 @@ def run_parallel_backend(grid: np.ndarray, rounds: int, *,
                 out[row_start:row_start + result.shape[0]] = result
             current = out
     return current
-
-
-def run_parallel_mp(grid: np.ndarray, rounds: int, *,
-                    workers: int, mode: EdgeMode = "torus",
-                    method: str = "shared") -> np.ndarray:
-    """Row-partitioned rounds with real OS-level parallelism.
-
-    ``method="shared"`` (default) is the zero-copy shared-memory engine;
-    ``method="pickled"`` is the per-round pool baseline; ``method=
-    "thread"`` runs the same bands on a thread pool (GIL-bound on stock
-    CPython — the negative control). All are semantically identical to
-    the serial engine; wall-clock speedup is bounded by physical cores
-    and, for threads, by the interpreter lock.
-    """
-    if method not in ("shared", "pickled", "thread"):
-        raise ReproError(f"unknown method {method!r}; "
-                         "valid methods: shared, pickled, thread")
-    if method == "shared":
-        return run_parallel_shm(grid, rounds, workers=workers, mode=mode)
-    if method == "thread":
-        return run_parallel_backend(grid, rounds, workers=workers,
-                                    backend="thread", mode=mode)
-    return run_parallel_pickled(grid, rounds, workers=workers, mode=mode)

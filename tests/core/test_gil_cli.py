@@ -38,8 +38,9 @@ class TestDemo:
     def test_probe_lists_every_backend(self, capsys):
         assert run(["--probe"]) == 0
         out = capsys.readouterr().out
-        for name in ("serial", "thread", "process", "subinterpreter"):
+        for name in ("serial", "thread", "process"):
             assert name in out
+        assert "subinterpreter" not in out
 
     def test_custom_gil_knobs(self, capsys):
         assert run(["--switch-interval", "50",

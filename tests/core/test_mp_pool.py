@@ -6,9 +6,14 @@ the single-core CI machine, where only *speed* degrades (documented in
 EXPERIMENTS.md). Makespan claims use the deterministic cost model.
 """
 
+import multiprocessing
+import os
+import threading
+import time
+
 import pytest
 
-from repro.core import OverheadBreakdown
+from repro.core import OverheadBreakdown, mp_backend
 from repro.core.mp_backend import (
     WorkerPool,
     burn,
@@ -25,6 +30,7 @@ from repro.core.partition import (
     schedule_makespan,
 )
 from repro.errors import ReproError
+from tests._deadline import run_with_deadline
 
 
 @pytest.fixture(autouse=True)
@@ -250,11 +256,12 @@ class TestModulePool:
         assert pool.spawn_count == 1
         assert last_breakdown().spawn == 0.0
 
-    def test_reuse_pool_false_leaves_module_pool_cold(self):
+    def test_explicit_pool_leaves_module_pool_cold(self):
+        """E12's per-call arm: a scoped pool never warms the module one."""
         shutdown_pool()
-        parallel_map(burn, [1, 2, 3], workers=2, reuse_pool=False)
+        with WorkerPool(2) as pool:
+            parallel_map(burn, [1, 2, 3], pool=pool)
         # get_pool would create one now; the per-call path must not have
-        from repro.core import mp_backend
         assert mp_backend._default_pool is None
 
     def test_explicit_pool_argument(self):
@@ -268,6 +275,66 @@ class TestModulePool:
         shutdown_pool()
 
 
-# picklable helper for the exception test
+class TestWorkerDeath:
+    """Regression: a process worker that died mid-map hung the call
+    forever, because the pool dropped the lost task. The call must now
+    raise within seconds, and the next call must respawn the workers."""
+
+    def test_dead_worker_fails_fast_and_pool_recovers(self):
+        pool = WorkerPool(2)
+        error, seconds = run_with_deadline(
+            lambda: pool.map(_exit_on_3, range(8)))
+        assert isinstance(error, ReproError), error
+        assert "WorkerPool" in str(error)
+        assert seconds < 10
+        assert pool.map(_exit_on_3, [0, 1, 2, 4]) == [0, 2, 4, 8]
+        assert pool.spawn_count == 2
+        pool.shutdown()
+
+    def test_worker_dead_between_maps_fails_fast(self):
+        """A worker that dies while idle breaks the pool before the next
+        map submits anything; that map must raise the same error."""
+        pool = WorkerPool(2)
+        assert pool.map(_exit_after_return, [0, 1]) == [0, 1]
+        alive = len(multiprocessing.active_children())
+        deadline = time.monotonic() + 10
+        while (len(multiprocessing.active_children()) >= alive
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        time.sleep(0.2)      # let the executor see the dead worker
+        error, seconds = run_with_deadline(
+            lambda: pool.map(burn, [1, 2, 3]))
+        assert isinstance(error, ReproError), error
+        assert seconds < 10
+        assert pool.map(burn, [1, 2, 3]) == [burn(1), burn(2), burn(3)]
+        pool.shutdown()
+
+    def test_module_pool_fails_fast_and_recovers(self, monkeypatch):
+        # a private module pool: if the call hangs, the hung pool goes
+        # away with the patch instead of blocking shutdown_pool()
+        monkeypatch.setattr(mp_backend, "_default_pool", None)
+        error, seconds = run_with_deadline(
+            lambda: parallel_map(_exit_on_3, range(8), workers=2))
+        assert isinstance(error, ReproError), error
+        assert seconds < 10
+        assert parallel_map(_exit_on_3, [0, 1, 2, 4], workers=2) == [0, 2,
+                                                                     4, 8]
+        assert get_pool(2).spawn_count == 2
+        shutdown_pool()
+
+
+# picklable helpers for the exception and worker-death tests
 def _reciprocal(x):
     return 1 / x
+
+
+def _exit_on_3(x):
+    if x == 3:
+        os._exit(1)
+    return 2 * x
+
+
+def _exit_after_return(x):
+    if x == 0:
+        threading.Timer(0.05, os._exit, (1,)).start()
+    return x

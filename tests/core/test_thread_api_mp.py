@@ -16,7 +16,6 @@ from repro.core import (
 from repro.core.mp_backend import (
     available_cores,
     burn,
-    measure_parallel_map,
     parallel_map,
 )
 from repro.errors import ReproError
@@ -128,8 +127,3 @@ class TestMultiprocessingBackend:
 
     def test_available_cores_positive(self):
         assert available_cores() >= 1
-
-    def test_measure_runs(self):
-        runs = measure_parallel_map(burn, [200] * 8, [1, 2])
-        assert [r.workers for r in runs] == [1, 2]
-        assert all(r.seconds > 0 for r in runs)

@@ -18,7 +18,7 @@ from repro.life import (
     make,
     random_grid,
     run_parallel_backend,
-    run_parallel_mp,
+    run_parallel_shm,
     run_serial_cycles,
     simulated_scaling,
     step,
@@ -150,17 +150,17 @@ class TestMultiprocessing:
         grid = random_grid(20, 20, seed=6)
         serial = GameOfLife(grid.copy())
         serial.run(3)
-        result = run_parallel_mp(grid, 3, workers=2)
+        result = run_parallel_shm(grid, 3, workers=2)
         assert grids_equal(result, serial.grid)
 
     def test_mp_single_worker_path(self):
         grid = random_grid(10, 10, seed=6)
-        assert grids_equal(run_parallel_mp(grid, 2, workers=1),
+        assert grids_equal(run_parallel_shm(grid, 2, workers=1),
                            step(step(grid)))
 
     def test_mp_validation(self):
         with pytest.raises(ReproError):
-            run_parallel_mp(make("block"), 1, workers=0)
+            run_parallel_shm(make("block"), 1, workers=0)
 
 
 class TestGilArm:
@@ -200,7 +200,7 @@ class TestBackendRunner:
         grid = random_grid(18, 18, seed=2)
         serial = GameOfLife(grid.copy())
         serial.run(2)
-        result = run_parallel_mp(grid, 2, workers=2, method="thread")
+        result = run_parallel_backend(grid, 2, workers=2, backend="thread")
         assert grids_equal(result, serial.grid)
 
     def test_zero_rounds_is_identity(self):
@@ -216,5 +216,3 @@ class TestBackendRunner:
             run_parallel_backend(grid, -1, workers=2)
         with pytest.raises(ReproError):
             run_parallel_backend(grid, 1, workers=2, backend="gpu")
-        with pytest.raises(ReproError):
-            run_parallel_mp(grid, 1, workers=2, method="fiber")

@@ -7,10 +7,14 @@ single-core CI machine (only *speedup* degrades there — documented in
 EXPERIMENTS.md).
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
+from repro.life import parallel
 from repro.life import (
     GameOfLife,
     band_neighbor_counts,
@@ -19,12 +23,12 @@ from repro.life import (
     neighbor_counts,
     pattern_names,
     random_grid,
-    run_parallel_mp,
-    run_parallel_pickled,
+    run_parallel_backend,
     run_parallel_shm,
     step,
     step_band,
 )
+from tests._deadline import run_with_deadline
 
 GENERATIONS = 50
 
@@ -116,24 +120,62 @@ class TestSharedMemoryOracle:
 
 class TestDispatcher:
     def test_methods_agree(self):
+        """The zero-copy engine and the per-round process-pool engine
+        compute the same generations."""
         grid = random_grid(16, 16, seed=5)
         expected = GameOfLife(grid.copy())
         expected.run(4)
-        for method in ("shared", "pickled"):
-            assert grids_equal(
-                run_parallel_mp(grid, 4, workers=2, method=method),
-                expected.grid)
-
-    def test_default_is_shared(self):
-        grid = random_grid(8, 8, seed=5)
-        assert grids_equal(run_parallel_mp(grid, 1, workers=2),
-                           run_parallel_shm(grid, 1, workers=2))
+        assert grids_equal(run_parallel_shm(grid, 4, workers=2),
+                           expected.grid)
+        assert grids_equal(run_parallel_backend(grid, 4, workers=2,
+                                                backend="process"),
+                           expected.grid)
 
     def test_unknown_method_lists_valid(self):
         with pytest.raises(ReproError) as err:
-            run_parallel_mp(make("block"), 1, workers=2, method="mmap")
-        assert "shared" in str(err.value) and "pickled" in str(err.value)
+            run_parallel_backend(make("block"), 1, workers=2,
+                                 backend="mmap")
+        for name in ("serial", "thread", "process"):
+            assert name in str(err.value)
 
     def test_pickled_validation(self):
         with pytest.raises(ReproError):
-            run_parallel_pickled(make("block"), 1, workers=0)
+            run_parallel_backend(make("block"), 1, workers=0,
+                                 backend="process")
+
+
+def _shm_segments() -> set[str]:
+    return set(os.listdir("/dev/shm"))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not os.path.isdir("/dev/shm"),
+    reason="needs the fork start method and a /dev/shm")
+class TestWorkerDeath:
+    """Regression: when one shared-memory worker died, its sibling sat
+    in the barrier for its 300 s timeout and the parent joined workers
+    one at a time for up to 600 s each. The parent must now notice the
+    first dead worker at once, break the barrier and raise."""
+
+    def test_dead_worker_fails_fast_and_frees_segments(self, monkeypatch):
+        real_step = parallel._shm_step_rounds
+
+        def die_at_row_0(buf_a, buf_b, shape, row_start, *rest):
+            if row_start == 0:
+                os._exit(3)
+            real_step(buf_a, buf_b, shape, row_start, *rest)
+
+        # fork, so the children run the patched module
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(parallel, "_shm_step_rounds", die_at_row_0)
+        monkeypatch.setattr(parallel.mp, "get_context",
+                            lambda method=None: fork)
+        before = _shm_segments()
+        grid = random_grid(16, 16, seed=5)
+        error, seconds = run_with_deadline(
+            lambda: run_parallel_shm(grid, 4, workers=2))
+        assert isinstance(error, ReproError), error
+        assert "rows 0-8" in str(error)
+        assert seconds < 10
+        assert not _shm_segments() - before
