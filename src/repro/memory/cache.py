@@ -149,6 +149,11 @@ class Cache:
         # may be attached after construction by the bus wiring)
         self._ctr_series = None
         self._ev_series = None
+        # address division constants for probe(), derived once
+        self._offset_bits = self.layout.offset_bits
+        self._tag_shift = self.layout.offset_bits + self.layout.index_bits
+        self._index_mask = self.config.num_sets - 1
+        self._address_limit = 1 << self.config.address_bits
 
     def _record_counters(self, *, evicted: bool = False) -> None:
         """Counter sample (+ eviction instant) after a traced access."""
@@ -228,6 +233,76 @@ class Cache:
         return AccessResult(address, kind, parts, hit=False,
                             evicted_tag=evicted_tag, wrote_back=wrote_back)
 
+    def probe(self, address: int, kind: AccessKind = "load") -> bool:
+        """Perform one load/store like :meth:`access`; return only the hit.
+
+        The scalar fast path the memory buses take on every access:
+        exactly :meth:`access`'s transitions (clock tick before the
+        bounds check, victim choice and per-set RNG draws, write
+        policy, prefetch, counter samples), without building an
+        :class:`AccessResult` or :class:`AddressParts`. :meth:`access`
+        stays the oracle that homework checkers read row by row.
+        """
+        self._clock += 1
+        if not 0 <= address < self._address_limit:
+            raise CacheConfigError(
+                f"address {address:#x} exceeds "
+                f"{self.config.address_bits} bits")
+        clock = self._clock
+        config = self.config
+        stats = self.stats
+        tag = address >> self._tag_shift
+        index = (address >> self._offset_bits) & self._index_mask
+        ways = self.sets[index]
+
+        for line in ways:
+            if line.valid and line.tag == tag:
+                line.last_used = clock
+                if kind == "store":
+                    stats.store_hits += 1
+                    if config.write_policy == "write-back":
+                        line.dirty = True
+                    else:
+                        stats.memory_writes += 1
+                else:
+                    stats.load_hits += 1
+                if self.recorder.enabled:
+                    self._record_counters()
+                return True
+
+        if kind == "store":
+            stats.store_misses += 1
+            if not config.write_allocate:
+                stats.memory_writes += 1
+                if self.recorder.enabled:
+                    self._record_counters()
+                return False
+        else:
+            stats.load_misses += 1
+
+        victim = self._choose_victim(ways, index)
+        evicted = victim.valid
+        if evicted:
+            stats.evictions += 1
+            if victim.dirty:
+                stats.writebacks += 1
+                stats.memory_writes += 1
+        victim.valid = True
+        victim.tag = tag
+        victim.last_used = clock
+        victim.loaded_at = clock
+        victim.dirty = False
+        if kind == "store":
+            if config.write_policy == "write-back":
+                victim.dirty = True
+            else:
+                stats.memory_writes += 1
+        elif kind == "load" and config.prefetch_next_line:
+            self._prefetch(address + config.block_size)
+        if self.recorder.enabled:
+            self._record_counters(evicted=evicted)
+        return False
+
     def _prefetch(self, address: int) -> None:
         """Fill a block without counting it as a demand access."""
         if address >= (1 << self.config.address_bits):
@@ -295,88 +370,30 @@ class Cache:
 
     def access_many(self, accesses: Iterable[int | tuple[int, AccessKind]]
                     ) -> CacheStats:
-        """Run a whole trace aggregating stats only — the fast path.
+        """Run a whole trace aggregating stats only.
 
-        Exactly the state transitions :meth:`access` makes (same hits,
-        evictions, clock, RNG draws — tests assert bit-equality with the
-        step-by-step API), but without building an :class:`AccessResult`
-        or :class:`~repro.memory.address.AddressParts` per access, so
-        long benchmark traces don't churn a dataclass per address.
-        Returns the cache's cumulative :class:`CacheStats`. Keep using
+        A loop over :meth:`probe`: exactly the state transitions
+        :meth:`access` makes (same hits, evictions, clock, RNG draws —
+        tests assert bit-equality with the step-by-step API), with one
+        counter sample per batch instead of one per access. Returns the
+        cache's cumulative :class:`CacheStats`. Keep using
         :meth:`access`/:meth:`run_trace` when the per-access rows matter
-        (homework checkers).
+        (homework checkers), and :meth:`simulate_trace` for long traces.
         """
-        config = self.config
-        stats = self.stats
-        sets = self.sets
-        offset_bits = self.layout.offset_bits
-        tag_shift = offset_bits + self.layout.index_bits
-        index_mask = config.num_sets - 1
-        address_limit = 1 << config.address_bits
-        write_back = config.write_policy == "write-back"
-        write_allocate = config.write_allocate
-        prefetch = config.prefetch_next_line
-        block_size = config.block_size
-        choose_victim = self._choose_victim
-        clock = self._clock
-        for item in accesses:
-            if isinstance(item, tuple):
-                address, kind = item
-            else:
-                address, kind = item, "load"
-            clock += 1     # ticks before validation, matching access()
-            if not 0 <= address < address_limit:
-                self._clock = clock
-                raise CacheConfigError(
-                    f"address {address:#x} exceeds "
-                    f"{config.address_bits} bits")
-            tag = address >> tag_shift
-            set_index = (address >> offset_bits) & index_mask
-            ways = sets[set_index]
-
-            for line in ways:
-                if line.valid and line.tag == tag:
-                    line.last_used = clock
-                    if kind == "store":
-                        stats.store_hits += 1
-                        if write_back:
-                            line.dirty = True
-                        else:
-                            stats.memory_writes += 1
-                    else:
-                        stats.load_hits += 1
-                    break
-            else:
-                if kind == "store":
-                    stats.store_misses += 1
-                    if not write_allocate:
-                        stats.memory_writes += 1
-                        continue
+        from repro.obs.recorder import NULL_RECORDER
+        recorder = self.recorder
+        self.recorder = NULL_RECORDER      # one sample per batch, below
+        try:
+            for item in accesses:
+                if isinstance(item, tuple):
+                    self.probe(*item)
                 else:
-                    stats.load_misses += 1
-                victim = choose_victim(ways, set_index)
-                if victim.valid:
-                    stats.evictions += 1
-                    if victim.dirty:
-                        stats.writebacks += 1
-                        stats.memory_writes += 1
-                victim.valid = True
-                victim.tag = tag
-                victim.last_used = clock
-                victim.loaded_at = clock
-                victim.dirty = False
-                if kind == "store":
-                    if write_back:
-                        victim.dirty = True
-                    else:
-                        stats.memory_writes += 1
-                if prefetch and kind == "load":
-                    self._clock = clock
-                    self._prefetch(address + block_size)
-        self._clock = clock
-        if self.recorder.enabled:
-            self._record_counters()     # one sample per batch
-        return stats
+                    self.probe(item)
+        finally:
+            self.recorder = recorder
+        if recorder.enabled:
+            self._record_counters()
+        return self.stats
 
     def simulate_trace(self, accesses) -> CacheStats:
         """Run a whole trace through the vectorized engine.

@@ -53,6 +53,20 @@ class CacheHierarchy:
         self.memory_accesses += 1
         return HierarchyAccess(address, kind, hit_level=-1)
 
+    def probe(self, address: int, kind: AccessKind = "load") -> int:
+        """:meth:`access` without the record: just the hit level.
+
+        The same level probes in the same order (each through
+        :meth:`Cache.probe`), so every level's state and the memory
+        access count match :meth:`access` exactly; returns the 0-based
+        level that hit, or -1 for main memory.
+        """
+        for i, cache in enumerate(self.levels):
+            if cache.probe(address, kind):
+                return i
+        self.memory_accesses += 1
+        return -1
+
     def run_trace(self, accesses: Iterable[int | tuple[int, AccessKind]]
                   ) -> list[HierarchyAccess]:
         out = []

@@ -78,7 +78,7 @@ def _charge_probe(stats: BusStats, hierarchy: CacheHierarchy,
                   cost: CostModel, address: int, kind: str) -> None:
     """Charge one CPU access: a single probe at its first byte (the
     granularity the course's trace replays use), costed by hit level."""
-    hit_level = hierarchy.access(address, kind).hit_level
+    hit_level = hierarchy.probe(address, kind)
     cycles = 0.0
     for i, level in enumerate(hierarchy.levels):
         cycles += level.config.hit_time
@@ -437,6 +437,16 @@ class VirtualBus:
     def _account(self, pid: int, address: int, size: int, kind: str) -> None:
         """Translate every page the access touches; charge its latency."""
         proc = self._procs[pid]
+        mmu = self.mmu
+        if mmu.current_pid != pid:
+            # switching to the running pid is a no-op; skip the call
+            mmu.context_switch(pid)
+        translate = mmu.translate
+        stats = self.stats
+        hierarchy = self.hierarchy
+        cost = self.cost
+        tlb_cycles = cost.tlb_time
+        walk_cycles = cost.tlb_time + cost.memory_time   # page-table walk
         write = kind == "store"
         offset_bits = self._offset_bits
         offset_mask = self.page_size - 1
@@ -448,18 +458,15 @@ class VirtualBus:
             # table covers only the mapped regions
             seg = proc.segment_for(addr)
             vpn = seg.base_vpn + ((addr - seg.start) >> offset_bits)
-            linear = (vpn << offset_bits) | (addr & offset_mask)
-            t = self.mmu.access(linear, write=write, pid=pid)
-            cycles = self.cost.tlb_time
-            where = "tlb"
-            if not t.tlb_hit:
-                cycles += self.cost.memory_time      # page-table walk
-                where = "walk"
-            self.stats.charge(where, cycles)
-            if t.page_fault:
-                self.stats.charge("fault", self.cost.fault_service_time)
-            _charge_probe(self.stats, self.hierarchy, self.cost, t.paddr,
-                          kind)
+            paddr, tlb_hit, page_fault = translate(
+                (vpn << offset_bits) | (addr & offset_mask), write)
+            if tlb_hit:
+                stats.charge("tlb", tlb_cycles)
+            else:
+                stats.charge("walk", walk_cycles)
+            if page_fault:
+                stats.charge("fault", cost.fault_service_time)
+            _charge_probe(stats, hierarchy, cost, paddr, kind)
             addr = (addr | offset_mask) + 1          # next page (if any)
 
     # -- current-process access (the MemoryBus protocol face) ----------------

@@ -208,6 +208,39 @@ class MMU:
                            tlb_hit=tlb_hit, page_fault=page_fault,
                            evicted=evicted, wrote_back=wrote_back)
 
+    def translate(self, vaddr: int, write: bool = False
+                  ) -> tuple[int, bool, bool]:
+        """:meth:`access` for the current process, as a plain tuple.
+
+        Returns ``(paddr, tlb_hit, page_fault)``. A TLB hit — the common
+        case — makes :meth:`access`'s transitions (protection check
+        first, then TLB recency and hit count, clock and stats, frame
+        touch, referenced/dirty bits, counter samples, in the same
+        event order) without building a :class:`Translation`; a miss is
+        :meth:`access` itself, so faults, eviction and writeback have
+        one implementation. Use :meth:`access` when the whole record
+        matters (homework traces).
+        """
+        pid = self.current_pid
+        if pid is None:
+            raise VmError("no process is running")
+        vpn = vaddr >> self._offset_bits
+        entry = self.page_tables[pid].check_access(vpn, write=write)
+        frame = self.tlb.hit(pid, vpn)
+        if frame is None:
+            t = self.access(vaddr, write=write)
+            return t.paddr, False, t.page_fault
+        self._clock += 1
+        self.stats.accesses += 1
+        self.physical.touch(frame, self._clock)
+        entry.referenced = True
+        if write:
+            entry.dirty = True
+        if self.recorder.enabled:
+            self._record_counters()
+        paddr = (frame << self._offset_bits) | (vaddr & (self.page_size - 1))
+        return paddr, True, False
+
     def _record_counters(self) -> None:
         """One cumulative "vm" counter sample at the current clock."""
         if self._ctr_series is None:

@@ -60,17 +60,24 @@ class TLB:
         return (pid if self.tagged else 0, vpn)
 
     def lookup(self, pid: int, vpn: int) -> int | None:
-        key = self._key(pid, vpn)
-        frame = self._entries.get(key)
+        frame = self.hit(pid, vpn)
         if frame is None:
             self.stats.misses += 1
             if self.recorder.enabled:
                 self._record_counters()
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        if self.recorder.enabled:
-            self._record_counters()
+        return frame
+
+    def hit(self, pid: int, vpn: int) -> int | None:
+        """:meth:`lookup`'s hit half: on a hit, the same transitions
+        (recency, hit count, counter sample) and the frame; on a miss,
+        ``None`` and no change, so the caller can still :meth:`lookup`."""
+        key = self._key(pid, vpn)
+        frame = self._entries.get(key)
+        if frame is not None:
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            if self.recorder.enabled:
+                self._record_counters()
         return frame
 
     def insert(self, pid: int, vpn: int, frame: int) -> None:
