@@ -28,6 +28,7 @@ Example::
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable
@@ -210,8 +211,8 @@ class SimThread:
     busy_cycles: float = 0.0
     blocked_cycles: float = 0.0
     io_cycles: float = 0.0
-    #: cycles left of the Work event currently being GIL-sliced
-    gil_work_left: float = 0.0
+    #: cycles left of the Work event the thread is running in slices
+    work_left: float = 0.0
     #: when this thread started waiting for the GIL (stats only)
     gil_wait_start: float = 0.0
 
@@ -243,7 +244,9 @@ class SimMachine:
         self._gil_queue: deque[SimThread] = deque()
         self._gil_free_at = 0.0
         self._gil_acquired_at = 0.0
-        self._gil_quantum_left = 0.0
+        #: the holder's switch-interval budget; infinite without a GIL,
+        #: so Work runs in one piece
+        self._quantum_left = math.inf
         #: shared trace recorder (see repro.obs); NULL_RECORDER when off
         self.recorder = coalesce(recorder)
         self.threads: list[SimThread] = []
@@ -283,36 +286,35 @@ class SimMachine:
     # -- the event loop -----------------------------------------------------------
 
     def run(self, *, max_events: int = 10_000_000) -> float:
-        """Run until every thread finishes; returns the makespan."""
-        if self.gil is not None:
-            return self._run_gil(max_events=max_events)
+        """Run until every thread finishes; returns the makespan.
+
+        One loop serves both machines: pop the earliest ready thread,
+        let the GIL (if any) admit it, and advance it on the core that
+        has been free longest.
+        """
+        gil = self.gil
         events = 0
         while self._pending:
             events += 1
             if events > max_events:
                 raise ConcurrencyError("event limit exceeded")
             ready_time, _, thread = heapq.heappop(self._pending)
-            if thread.state == "done":
+            if thread.state == "done" or (
+                    gil is not None
+                    and not self._gil_admit(thread, ready_time)):
                 continue
             core_free, core_id = heapq.heappop(self._cores)
             start = max(ready_time, core_free)
             self.now = start
             end = self._advance(thread, start)
-            if end > start:
-                self.timeline.append((core_id, thread.name, start, end))
-                if self.recorder.enabled:
-                    # the gantt segment: thread ran on this core (the
-                    # span handle is resolved once per core × thread)
-                    key = (core_id, thread.name)
-                    series = self._gantt_series.get(key)
-                    if series is None:
-                        series = self.recorder.span_series(
-                            thread.name, pid="threads",
-                            tid=f"core {core_id}", cat="threads")
-                        self._gantt_series[key] = series
-                    series.add(start, end - start)
-            heapq.heappush(self._cores, (end, core_id))
             self.makespan = max(self.makespan, end)
+            if end > start:
+                self._occupy(core_id, thread, start, end)
+            elif gil is not None:
+                # under a GIL only interpreter work takes a core: a
+                # visit that ran none leaves its core as it found it
+                end = core_free
+            heapq.heappush(self._cores, (end, core_id))
         blocked = [t for t in self.threads if t.state == "blocked"]
         if blocked:
             raise self._deadlock_error(blocked)
@@ -323,10 +325,16 @@ class SimMachine:
     MAX_ZERO_COST_RUN = 1_000_000
 
     def _advance(self, thread: SimThread, start: float) -> float:
-        """Advance ``thread`` one event starting at ``start``; returns the
-        time its core becomes free."""
+        """Run ``thread`` from ``start`` until it charges cycles, blocks
+        or finishes; returns the time its core becomes free. ``Work``
+        runs in quantum-sized slices, which is one piece without a GIL."""
         zero_cost_run = 0
-        while True:
+        while thread.work_left <= 0:
+            if zero_cost_run > self.MAX_ZERO_COST_RUN:
+                raise ConcurrencyError(
+                    f"{thread.name} ran {zero_cost_run} zero-cost events "
+                    "without blocking or working (infinite loop?)")
+            zero_cost_run += 1
             try:
                 event = next(thread.gen)
             except StopIteration:
@@ -336,16 +344,37 @@ class SimMachine:
             if end is None:
                 return start          # blocked: core released immediately
             if end > start:
-                thread.busy_cycles += end - start
-                self.total_work_cycles += end - start
-                self._schedule(thread, end)
-                return end
-            zero_cost_run += 1
-            if zero_cost_run > self.MAX_ZERO_COST_RUN:
-                raise ConcurrencyError(
-                    f"{thread.name} ran {zero_cost_run} zero-cost events "
-                    "without blocking or working (infinite loop?)")
-            start = end               # zero-cost event: keep going
+                self._quantum_left -= end - start
+                return self._charge(thread, start, end)
+        dur = min(thread.work_left, self._quantum_left)
+        thread.work_left -= dur
+        self._quantum_left -= dur
+        if self.gil is not None:
+            self.gil_stats.slices += 1
+        return self._charge(thread, start, start + dur)
+
+    def _charge(self, thread: SimThread, start: float, end: float) -> float:
+        """Bill ``[start, end)`` to ``thread``; it runs again at ``end``."""
+        thread.busy_cycles += end - start
+        self.total_work_cycles += end - start
+        self._schedule(thread, end)
+        return end
+
+    def _occupy(self, core_id: int, thread: SimThread, start: float,
+                end: float) -> None:
+        """Record ``thread`` running on ``core_id`` over ``[start, end)``."""
+        self.timeline.append((core_id, thread.name, start, end))
+        if self.recorder.enabled:
+            # the gantt segment (the span handle is resolved once per
+            # core × thread)
+            key = (core_id, thread.name)
+            series = self._gantt_series.get(key)
+            if series is None:
+                series = self.recorder.span_series(
+                    thread.name, pid="threads",
+                    tid=f"core {core_id}", cat="threads")
+                self._gantt_series[key] = series
+            series.add(start, end - start)
 
     def _handle(self, thread: SimThread, event: Event,
                 time: float) -> float | None:
@@ -353,7 +382,8 @@ class SimMachine:
         if isinstance(event, Work):
             if event.io:
                 return self._io_wait(thread, event.cycles, time)
-            return time + event.cycles
+            thread.work_left = event.cycles   # _advance runs it in slices
+            return time
         if isinstance(event, IoWait):
             return self._io_wait(thread, event.cycles, time)
         if isinstance(event, Access):
@@ -397,6 +427,7 @@ class SimMachine:
         thread.state = "blocked"
         thread.waiting_on = on
         thread.block_start = time
+        self._gil_release(thread, time)
 
     def _wake(self, thread: SimThread, time: float) -> None:
         thread.blocked_cycles += time - thread.block_start
@@ -414,17 +445,17 @@ class SimMachine:
     def _io_wait(self, thread: SimThread, cycles: float,
                  time: float) -> None:
         """Blocking I/O: the thread sleeps in the kernel until
-        ``time + cycles``, occupying no core — any number of I/O
-        operations overlap. Returns None (the core is released); the
-        thread re-enters the ready queue at completion."""
-        end = time + cycles
+        ``time + cycles``, occupying no core and not holding the GIL —
+        any number of I/O operations overlap. Returns None (the core is
+        released); the thread re-enters the ready queue at completion."""
         thread.io_cycles += cycles
         self.gil_stats.io_cycles += cycles
         if self.recorder.enabled:
             self.recorder.complete(
                 "io-wait", ts=time, dur=cycles, pid="threads",
                 tid=thread.name, cat="threads")
-        self._schedule(thread, end)
+        self._gil_release(thread, time)
+        self._schedule(thread, time + cycles)
         return None
 
     def _lock(self, thread: SimThread, mutex: Mutex,
@@ -443,7 +474,7 @@ class SimMachine:
                     tid=thread.name, cat="threads",
                     args={"mutex": mutex.name})
             return done
-        mutex.waiters.append(thread)
+        mutex.waiters.append((thread, time))
         self._block(thread, mutex, time)
         return None
 
@@ -459,11 +490,11 @@ class SimMachine:
                 "lock-release", ts=done, pid="threads", tid=thread.name,
                 cat="threads", args={"mutex": mutex.name})
         if mutex.waiters:
-            next_owner: SimThread = mutex.waiters.popleft()
+            next_owner, since = mutex.waiters.popleft()
             mutex.owner = next_owner
             mutex.acquisitions += 1
             next_owner.locks_held.add(mutex)
-            mutex.contention_cycles += done - next_owner.block_start
+            mutex.contention_cycles += done - since
             if self.recorder.enabled:
                 self.recorder.instant(
                     "lock-acquire", ts=done, pid="threads",
@@ -511,7 +542,9 @@ class SimMachine:
             [cond.waiters[0]] if cond.waiters else [])
         for thread, mutex in to_wake:
             cond.waiters.remove((thread, mutex))
-            # Mesa semantics: the waiter must re-acquire the mutex
+            # Mesa semantics: the waiter must re-acquire the mutex, and
+            # contends for it from the signal on (it stays blocked from
+            # the start of its condition wait)
             if mutex.owner is None:
                 mutex.owner = thread
                 mutex.acquisitions += 1
@@ -519,7 +552,7 @@ class SimMachine:
                 self._wake(thread, done + self.costs.lock)
             else:
                 thread.waiting_on = mutex
-                mutex.waiters.append(thread)
+                mutex.waiters.append((thread, done))
         return done
 
     def _sem_wait(self, thread: SimThread, sem: Semaphore,
@@ -574,49 +607,44 @@ class SimMachine:
         for joiner in thread.joiners:
             self._wake(joiner, time)
         thread.joiners.clear()
+        self._gil_release(thread, time)
 
     # -- the GIL --------------------------------------------------------------------
     #
-    # A second event loop, used only when ``gil`` is set, so the default
-    # machine stays bit-identical to the seed (pinned by the golden
-    # oracle in tests/core/test_gil_oracle.py). The lock is FIFO: the
-    # holder runs interpreter events, slicing Work at the switch
-    # interval; at a slice boundary with waiters present it hands off
-    # (and requeues itself if unfinished). Blocking sync events and I/O
-    # release the lock outright.
+    # The lock is FIFO and adds three things to the shared loop: an
+    # admission check when a thread is popped, the switch-interval
+    # quantum that slices Work, and a release when the holder blocks,
+    # starts I/O or finishes. Without a GIL every thread is admitted,
+    # the quantum is infinite and releasing does nothing.
 
-    def _run_gil(self, *, max_events: int) -> float:
-        events = 0
-        while self._pending:
-            events += 1
-            if events > max_events:
-                raise ConcurrencyError("event limit exceeded")
-            ready_time, _, thread = heapq.heappop(self._pending)
-            if thread.state == "done":
-                continue
-            if thread is not self._gil_holder:
-                # anything a thread does needs the interpreter lock
-                if self._gil_holder is None:
-                    at = max(ready_time, self._gil_free_at)
-                    self.gil_stats.wait_cycles += at - ready_time
-                    self._gil_grant(thread, at)
-                else:
-                    thread.gil_wait_start = ready_time
-                    self._gil_queue.append(thread)
-                continue
-            self.now = ready_time
-            self._gil_step(thread, ready_time)
-        blocked = [t for t in self.threads if t.state == "blocked"]
-        if blocked:
-            raise self._deadlock_error(blocked)
-        self._ran = True
-        return self.makespan
+    def _gil_admit(self, thread: SimThread, ready_time: float) -> bool:
+        """Under a GIL, may ``thread`` run at ``ready_time``? A non-holder
+        is granted the free lock (and runs once it has paid
+        ``acquire_cost``) or queues for it; a holder with a spent quantum
+        hands the lock to the longest waiter, or gets a fresh quantum if
+        nobody waits."""
+        if thread is not self._gil_holder:
+            if self._gil_holder is None:
+                at = max(ready_time, self._gil_free_at)
+                self.gil_stats.wait_cycles += at - ready_time
+                self._gil_grant(thread, at)
+            else:
+                thread.gil_wait_start = ready_time
+                self._gil_queue.append(thread)
+            return False
+        if self._quantum_left <= 0:
+            if self._gil_queue:
+                self.gil_stats.handoffs += 1
+                self._gil_release(thread, ready_time, requeue=True)
+                return False
+            self._quantum_left = self.gil.switch_interval_cycles
+        return True
 
     def _gil_grant(self, thread: SimThread, at: float) -> None:
         """Give ``thread`` the lock at ``at``; it runs after paying
         ``acquire_cost`` cycles."""
         self._gil_holder = thread
-        self._gil_quantum_left = self.gil.switch_interval_cycles
+        self._quantum_left = self.gil.switch_interval_cycles
         self.gil_stats.acquisitions += 1
         start = at + self.gil.acquire_cost
         self._gil_acquired_at = start
@@ -627,6 +655,8 @@ class SimMachine:
         """The holder gives the lock up at ``time``. With ``requeue``
         (a switch-interval handoff) it rejoins the wait queue at the
         tail; either way the longest-waiting thread is granted next."""
+        if self.gil is None:
+            return
         held = time - self._gil_acquired_at
         self.gil_stats.hold_cycles += held
         if self.recorder.enabled and held > 0:
@@ -648,108 +678,6 @@ class SimMachine:
                     cat="gil", args={"from": thread.name,
                                      "to": nxt.name})
             self._gil_grant(nxt, time)
-
-    def _gil_occupy(self, thread: SimThread, start: float,
-                    end: float) -> None:
-        """Charge ``[start, end)`` as interpreter time on a core (the
-        GIL serializes, so a core is always free by ``start``)."""
-        core_free, core_id = heapq.heappop(self._cores)
-        self.timeline.append((core_id, thread.name, start, end))
-        if self.recorder.enabled:
-            key = (core_id, thread.name)
-            series = self._gantt_series.get(key)
-            if series is None:
-                series = self.recorder.span_series(
-                    thread.name, pid="threads",
-                    tid=f"core {core_id}", cat="threads")
-                self._gantt_series[key] = series
-            series.add(start, end - start)
-        heapq.heappush(self._cores, (max(end, core_free), core_id))
-        self.makespan = max(self.makespan, end)
-
-    def _gil_step(self, thread: SimThread, start: float) -> None:
-        """Run the holder for one quantum/event starting at ``start``."""
-        # slice boundary: yield to waiters, or refresh the quantum
-        if self._gil_quantum_left <= 0:
-            if self._gil_queue:
-                self.gil_stats.handoffs += 1
-                self._gil_release(thread, start, requeue=True)
-                return
-            self._gil_quantum_left = self.gil.switch_interval_cycles
-        if thread.gil_work_left > 0:
-            self._gil_run_slice(thread, start)
-            return
-        zero_cost_run = 0
-        time = start
-        while True:
-            try:
-                event = next(thread.gen)
-            except StopIteration:
-                self._finish(thread, time)
-                self._gil_release(thread, time)
-                self.makespan = max(self.makespan, time)
-                return
-            io_cycles = None
-            if isinstance(event, IoWait):
-                io_cycles = event.cycles
-            elif isinstance(event, Work) and event.io:
-                io_cycles = event.cycles
-            if io_cycles is not None:
-                # blocking I/O: the lock is free for the whole wait
-                thread.io_cycles += io_cycles
-                self.gil_stats.io_cycles += io_cycles
-                if self.recorder.enabled:
-                    self.recorder.complete(
-                        "io-wait", ts=time, dur=io_cycles, pid="threads",
-                        tid=thread.name, cat="threads")
-                self._gil_release(thread, time)
-                self._schedule(thread, time + io_cycles)
-                self.makespan = max(self.makespan, time + io_cycles)
-                return
-            if isinstance(event, Work):
-                if event.cycles == 0:
-                    zero_cost_run += 1
-                    if zero_cost_run > self.MAX_ZERO_COST_RUN:
-                        raise ConcurrencyError(
-                            f"{thread.name} ran {zero_cost_run} "
-                            "zero-cost events without blocking or "
-                            "working (infinite loop?)")
-                    continue
-                thread.gil_work_left = event.cycles
-                self._gil_run_slice(thread, time)
-                return
-            end = self._handle(thread, event, time)
-            if end is None:
-                # blocked: the lock is released where the block began
-                self._gil_release(thread, thread.block_start)
-                return
-            if end > time:
-                dur = end - time
-                thread.busy_cycles += dur
-                self.total_work_cycles += dur
-                self._gil_quantum_left -= dur
-                self._gil_occupy(thread, time, end)
-                self._schedule(thread, end)
-                return
-            zero_cost_run += 1
-            if zero_cost_run > self.MAX_ZERO_COST_RUN:
-                raise ConcurrencyError(
-                    f"{thread.name} ran {zero_cost_run} zero-cost "
-                    "events without blocking or working (infinite "
-                    "loop?)")
-            time = end
-
-    def _gil_run_slice(self, thread: SimThread, start: float) -> None:
-        """Execute one switch-interval slice of the pending Work."""
-        dur = min(thread.gil_work_left, self._gil_quantum_left)
-        end = start + dur
-        thread.gil_work_left -= dur
-        self._gil_quantum_left -= dur
-        thread.busy_cycles += dur
-        self.total_work_cycles += dur
-        self.gil_stats.slices += 1
-        self._gil_occupy(thread, start, end)
-        self._schedule(thread, end)
 
     # -- deadlock reporting ----------------------------------------------------------
 

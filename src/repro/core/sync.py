@@ -28,6 +28,7 @@ class Mutex:
     """pthread_mutex_t."""
     name: str = "mutex"
     owner: "SimThread | None" = None
+    #: (thread, time it started waiting for this mutex) in FIFO order
     waiters: deque = field(default_factory=deque)
     #: aggregate cycles threads spent blocked on this mutex
     contention_cycles: float = 0.0

@@ -305,6 +305,33 @@ class TestConditionVariable:
         m.run()   # completes: the waiter was woken
         assert cond.signals_sent == 1
 
+    def test_signalled_waiter_contends_only_from_the_signal(self):
+        """A condition wait is not mutex contention: a waiter signalled
+        while the mutex is held contends from the signal on, though it
+        stays blocked from the start of its condition wait."""
+        mu = Mutex()
+        from repro.core import ConditionVariable
+        cond = ConditionVariable()
+
+        def consumer():
+            yield Lock(mu)
+            yield CondWait(cond, mu)
+            yield Unlock(mu)
+
+        def producer():
+            yield Work(1000)
+            yield Lock(mu)
+            yield CondSignal(cond)
+            yield Work(10)           # the waiter needs the mutex meanwhile
+            yield Unlock(mu)
+
+        m = SimMachine(2, costs=FREE)
+        waiter = m.spawn(consumer)
+        m.spawn(producer)
+        m.run()
+        assert mu.contention_cycles == 10.0
+        assert waiter.blocked_cycles == 1010.0
+
     def test_wait_without_mutex_is_error(self):
         mu = Mutex()
         from repro.core import ConditionVariable
