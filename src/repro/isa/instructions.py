@@ -125,8 +125,8 @@ class Program:
     data_image: bytes = b""
     data_base: int = 0
     #: decode-once handler table built lazily by the machine's run loop
-    #: (address → compiled handler); shared by every Machine executing
-    #: this program — see repro.isa.machine._compile_instruction
+    #: (address → generated handler); shared by every Machine executing
+    #: this program — see repro.isa.codegen.handler
     predecoded: dict | None = field(default=None, init=False,
                                     repr=False, compare=False)
     #: addresses of instructions whose every memory access the

@@ -17,6 +17,7 @@ from repro.binary.bits import BitVector
 from repro.binary.twos_complement import MASK32, sign32
 from repro.clib.address_space import AddressSpace, STACK_TOP
 from repro.errors import IllegalInstruction, MachineFault
+from repro.isa.codegen import handler as _handler
 from repro.isa.instructions import (
     Immediate,
     Instruction,
@@ -27,14 +28,15 @@ from repro.isa.instructions import (
     Program,
     Register,
 )
-from repro.isa.registers import GP32, RegisterSet
+from repro.isa.registers import RegisterSet
 
 #: "return address" of the outermost frame; reaching it ends the program
 SENTINEL_RETURN = 0xFFFF_FFF0
 
 
-#: flag predicates for the conditional jumps, shared by the step-by-step
-#: interpreter and the predecoded handler compiler
+#: flag predicates for the conditional jumps, as the step-by-step
+#: interpreter reads them (repro.isa.codegen._COND_SRC is their image in
+#: generated code)
 _JUMP_CONDITIONS = {
     "je": lambda f: f.zf,
     "jne": lambda f: not f.zf,
@@ -216,7 +218,24 @@ class Machine:
                 self.recorder.instant("fetch", ts=self.steps, pid="isa",
                                       tid="cpu", cat="isa",
                                       args={"eip": eip})
-        next_eip = eip + INSTRUCTION_SIZE
+        next_eip = self._execute(ins, eip + INSTRUCTION_SIZE)
+        if next_eip == SENTINEL_RETURN:
+            self.halted = True
+        if self.recorder.enabled:
+            self.recorder.complete(ins.mnemonic, ts=self.steps, dur=1,
+                                   pid="isa", tid="cpu", cat="isa",
+                                   args={"eip": eip})
+        self.regs.eip = next_eip & MASK32
+        self.steps += 1
+        return ins
+
+    def _execute(self, ins: Instruction, next_eip: int) -> int:
+        """Execute one instruction; returns the next %eip.
+
+        The interpreter proper, shared by :meth:`step` and the handlers
+        the code generator declines (see :mod:`repro.isa.codegen`).
+        ``next_eip`` is the fall-through address.
+        """
         m = ins.mnemonic
         ops = ins.operands
 
@@ -339,29 +358,23 @@ class Machine:
             self.halted = True
         else:  # pragma: no cover - assembler rejects unknown mnemonics
             raise IllegalInstruction(f"unimplemented mnemonic {m!r}")
-
-        if next_eip == SENTINEL_RETURN:
-            self.halted = True
-        if self.recorder.enabled:
-            self.recorder.complete(m, ts=self.steps, dur=1, pid="isa",
-                                   tid="cpu", cat="isa",
-                                   args={"eip": eip})
-        self.regs.eip = next_eip & MASK32
-        self.steps += 1
-        return ins
+        return next_eip
 
     def _predecode(self) -> dict[int, Callable]:
         """The program's decode-once handler table, built lazily.
 
         Cached on the :class:`Program` itself, so every machine (and
         every :meth:`call`) executing the same program shares one
-        compilation. Operand decoding — the ``isinstance`` dispatch and
-        addressing-mode analysis the interpreter repeats on every step
-        — happens here exactly once per instruction.
+        table. Each handler is generated code for its instruction's
+        form (:func:`repro.isa.codegen.handler`), compiled once per
+        process and shared by every program using that form: operand
+        decoding — the ``isinstance`` dispatch and addressing-mode
+        analysis the interpreter repeats on every step — happens at
+        generation time.
         """
         handlers = self.program.predecoded
         if handlers is None:
-            handlers = {addr: _compile_instruction(ins)
+            handlers = {addr: _handler(ins.mnemonic, ins.operands)
                         for addr, ins in self.program.by_address.items()}
             self.program.predecoded = handlers
         return handlers
@@ -406,10 +419,11 @@ class Machine:
         if use_jit:
             engine = self._jit()
             if engine is not None:
-                return engine.run(max_steps)
+                return engine.run(self, max_steps)
         if self.recorder.enabled:
-            return self._run_traced(self._predecode(), max_steps)
-        self._run_predecoded(max_steps)
+            self._run_traced(max_steps)
+        else:
+            self._run_predecoded(max_steps)
         return self.regs.get_signed("eax")
 
     def _run_predecoded(self, max_steps: int, *,
@@ -446,8 +460,9 @@ class Machine:
     #: pending per-instruction events per bulk flush in the traced loop
     TRACE_CHUNK = 4096
 
-    def _run_traced(self, handlers, max_steps: int) -> int:
-        """The :meth:`run` loop with per-instruction span recording.
+    def _run_traced(self, max_steps: int, *,
+                    raise_on_limit: bool = True) -> None:
+        """:meth:`_run_predecoded` with per-instruction span recording.
 
         Identical state transitions to the untraced loop (the oracle
         tests pin both). The per-step cost is two list appends: spans
@@ -455,9 +470,11 @@ class Machine:
         plain lists and land in the recorder's structured-array ring in
         :attr:`TRACE_CHUNK`-sized bulk appends — one numpy slice
         assignment per column instead of one event object per step.
-        Flushes happen before any fault instant and on exit, so event
-        order in the buffer still follows execution order.
+        Flushes happen before any fault instant and on exit, so spans
+        keep execution order among themselves, and so do fetch instants;
+        within one chunk the fetches are listed before the spans.
         """
+        handlers = self._predecode()
         regs = self.regs
         record = self.record_fetches
         fetch = self.space.fetch
@@ -492,6 +509,8 @@ class Machine:
         try:
             while not self.halted:
                 if steps >= max_steps:
+                    if not raise_on_limit:
+                        break
                     raise MachineFault(
                         "step limit exceeded (infinite loop?)")
                 eip = regs.eip
@@ -507,11 +526,15 @@ class Machine:
                     fetch(eip, INSTRUCTION_SIZE)
                 try:
                     next_eip = handler(self, eip + INSTRUCTION_SIZE)
-                except MachineFault as exc:
+                except BaseException as exc:
                     flush()
-                    rec.instant("fault", ts=steps, pid="isa", tid="cpu",
-                                cat="isa",
-                                args={"eip": eip, "what": str(exc)})
+                    if record:       # fetched before it faulted, as in step()
+                        rec.instant("fetch", ts=steps, pid="isa", tid="cpu",
+                                    cat="isa", args={"eip": eip})
+                    if isinstance(exc, MachineFault):
+                        rec.instant("fault", ts=steps, pid="isa",
+                                    tid="cpu", cat="isa",
+                                    args={"eip": eip, "what": str(exc)})
                     raise
                 steps += 1
                 append(eip)
@@ -523,7 +546,6 @@ class Machine:
         finally:
             self.steps = steps
             flush()
-        return regs.get_signed("eax")
 
     def run_slice(self, limit: int, *, jit: bool | None = None) -> int:
         """Execute up to ``limit`` instructions; returns how many ran.
@@ -531,19 +553,18 @@ class Machine:
         The kernel's timeslice primitive: stops early on halt, raises
         on faults like :meth:`step`, and never raises for hitting the
         limit. Interpreted slices run :meth:`run`'s predecoded handler
-        loop (with tracing on, :meth:`step` records each instruction);
-        with JIT enabled, whole superblocks execute per dispatch.
+        loop, traced or not; with JIT enabled, whole superblocks execute
+        per dispatch.
         """
         before = self.steps
         use_jit = self.jit if jit is None else jit
         if use_jit:
             engine = self._jit()
             if engine is not None:
-                engine.run(before + limit, raise_on_limit=False)
+                engine.run(self, before + limit, raise_on_limit=False)
                 return self.steps - before
         if self.recorder.enabled:
-            while not self.halted and self.steps - before < limit:
-                self.step()
+            self._run_traced(before + limit, raise_on_limit=False)
         else:
             self._run_predecoded(before + limit, raise_on_limit=False)
         return self.steps - before
@@ -566,415 +587,3 @@ class Machine:
         result = self.run(max_steps=max_steps)
         self.regs.set("esp", saved_esp)   # caller cleans up (cdecl)
         return result
-
-
-# -- the predecoded fast path ------------------------------------------------
-#
-# One compiled closure per instruction, built once per Program and cached
-# on it (Program.predecoded). Each closure takes (machine, fall_through)
-# and returns the next %eip. Operand readers/writers are specialized per
-# operand *kind* at compile time, so the hot loop never repeats the
-# isinstance dispatch, addressing-mode analysis, or mnemonic chain the
-# step-by-step interpreter performs. Operand evaluation order — visible
-# through the address-space access trace — matches step() exactly.
-
-def _compile_ea(op: Memory) -> Callable[[Machine], int]:
-    disp, base, index, scale = op.displacement, op.base, op.index, op.scale
-    if base and index:
-        return lambda m: ((disp + m.regs.get(base)
-                           + m.regs.get(index) * scale) & MASK32)
-    if base:
-        if disp:
-            return lambda m: (disp + m.regs.get(base)) & MASK32
-        return lambda m: m.regs.get(base)
-    if index:
-        return lambda m: (disp + m.regs.get(index) * scale) & MASK32
-    absolute = disp & MASK32
-    return lambda m: absolute
-
-
-def _compile_read(op: Operand) -> Callable[[Machine], int]:
-    if isinstance(op, Immediate):
-        value = op.value & MASK32
-        return lambda m: value
-    if isinstance(op, Register):
-        name = op.name
-        if name in GP32:        # skip the width-dispatch chain in get()
-            return lambda m: m.regs._regs[name]
-        return lambda m: m.regs.get(name)
-    if isinstance(op, Memory):
-        ea = _compile_ea(op)
-        return lambda m: m.space.load_uint(ea(m), 4)
-    if isinstance(op, LabelRef):
-        if op.address is None:
-            name = op.name
-
-            def unresolved(m: Machine) -> int:
-                raise MachineFault(f"unresolved label {name!r}")
-            return unresolved
-        address = op.address
-        return lambda m: address
-    return lambda m: m.read_operand(op)     # raises the scalar error
-
-
-def _compile_write(op: Operand) -> Callable[[Machine, int], None]:
-    if isinstance(op, Register):
-        name = op.name
-        if name in GP32:
-            def wr32(m: Machine, v: int, _name: str = name) -> None:
-                m.regs._regs[_name] = v & MASK32
-            return wr32
-        return lambda m, v: m.regs.set(name, v)
-    if isinstance(op, Memory):
-        ea = _compile_ea(op)
-        return lambda m, v: m.space.store_uint(ea(m), v, 4)
-    return lambda m, v: m.write_operand(op, v)   # raises the scalar error
-
-
-def _compile_read_byte(op: Operand) -> Callable[[Machine], int]:
-    from repro.isa.registers import register_width
-    if isinstance(op, Immediate):
-        value = op.value & 0xFF
-        return lambda m: value
-    if isinstance(op, Register):
-        name = op.name
-        if register_width(name) != 8:
-            def bad_width(m: Machine) -> int:
-                raise IllegalInstruction(
-                    f"byte operation needs an 8-bit register, got %{name}")
-            return bad_width
-        return lambda m: m.regs.get(name)
-    if isinstance(op, Memory):
-        ea = _compile_ea(op)
-        return lambda m: m.space.load_uint(ea(m), 1)
-    return lambda m: m.read_byte_operand(op)
-
-
-def _compile_write_byte(op: Operand) -> Callable[[Machine, int], None]:
-    from repro.isa.registers import register_width
-    if isinstance(op, Register):
-        name = op.name
-        if register_width(name) != 8:
-            def bad_width(m: Machine, v: int) -> None:
-                raise IllegalInstruction(
-                    f"byte operation needs an 8-bit register, got %{name}")
-            return bad_width
-        return lambda m, v: m.regs.set(name, v & 0xFF)
-    if isinstance(op, Memory):
-        ea = _compile_ea(op)
-        return lambda m, v: m.space.store_uint(ea(m), v & 0xFF, 1)
-    return lambda m, v: m.write_byte_operand(op, v)
-
-
-def _raiser(exc: Exception) -> Callable[[Machine, int], int]:
-    """A handler that faults when (and only when) it executes."""
-    def handler(m: Machine, nxt: int) -> int:
-        raise exc
-    return handler
-
-
-def _compile_instruction(ins: Instruction) -> Callable[[Machine, int], int]:
-    """Compile one decoded instruction to a (machine, nxt) -> eip closure."""
-    m_ = ins.mnemonic
-    ops = ins.operands
-
-    if m_ == "movl":
-        rd, wr = _compile_read(ops[0]), _compile_write(ops[1])
-
-        def movl(m: Machine, nxt: int) -> int:
-            wr(m, rd(m))
-            return nxt
-        return movl
-
-    if m_ == "movb":
-        rdb, wrb = _compile_read_byte(ops[0]), _compile_write_byte(ops[1])
-
-        def movb(m: Machine, nxt: int) -> int:
-            wrb(m, rdb(m))
-            return nxt
-        return movb
-
-    if m_ in ("movzbl", "movsbl"):
-        if not isinstance(ops[1], Register):
-            return _raiser(IllegalInstruction(
-                f"{m_} destination must be a 32-bit register"))
-        rdb = _compile_read_byte(ops[0])
-        dest = ops[1].name
-        if m_ == "movzbl":
-            def movzbl(m: Machine, nxt: int) -> int:
-                m.regs.set(dest, rdb(m))
-                return nxt
-            return movzbl
-
-        def movsbl(m: Machine, nxt: int) -> int:
-            byte = rdb(m)
-            m.regs.set(dest, byte - 0x100 if byte & 0x80 else byte)
-            return nxt
-        return movsbl
-
-    if m_ == "cmpb":
-        rd0, rd1 = _compile_read_byte(ops[0]), _compile_read_byte(ops[1])
-
-        def cmpb(m: Machine, nxt: int) -> int:
-            src = rd0(m)
-            dst = rd1(m)
-            value = (dst - src) & 0xFF
-            f = m.regs.flags
-            f.cf = dst < src
-            f.of = bool((dst ^ src) & (dst ^ value) & 0x80)
-            f.zf = value == 0
-            f.sf = bool(value & 0x80)
-            return nxt
-        return cmpb
-
-    if m_ == "leal":
-        if not isinstance(ops[0], Memory):
-            return _raiser(IllegalInstruction(
-                "leal source must be a memory operand"))
-        ea, wr = _compile_ea(ops[0]), _compile_write(ops[1])
-
-        def leal(m: Machine, nxt: int) -> int:
-            wr(m, ea(m))
-            return nxt
-        return leal
-
-    if m_ in ("addl", "subl", "cmpl"):
-        rd0, rd1 = _compile_read(ops[0]), _compile_read(ops[1])
-        wr = None if m_ == "cmpl" else _compile_write(ops[1])
-        # flags computed inline with int arithmetic — same definitions as
-        # repro.binary.arith.add/sub, minus the BitVector object traffic
-        if m_ == "addl":
-            def addl(m: Machine, nxt: int) -> int:
-                src = rd0(m)
-                dst = rd1(m)
-                wide = dst + src
-                value = wide & MASK32
-                f = m.regs.flags
-                f.cf = wide > MASK32
-                f.of = bool(~(dst ^ src) & (dst ^ value) & 0x8000_0000)
-                f.zf = value == 0
-                f.sf = bool(value & 0x8000_0000)
-                wr(m, value)
-                return nxt
-            return addl
-
-        def subl(m: Machine, nxt: int) -> int:
-            src = rd0(m)
-            dst = rd1(m)
-            value = (dst - src) & MASK32
-            f = m.regs.flags
-            f.cf = dst < src
-            f.of = bool((dst ^ src) & (dst ^ value) & 0x8000_0000)
-            f.zf = value == 0
-            f.sf = bool(value & 0x8000_0000)
-            if wr is not None:
-                wr(m, value)
-            return nxt
-        return subl
-
-    if m_ == "imull":
-        rd0, rd1 = _compile_read(ops[0]), _compile_read(ops[1])
-        wr = _compile_write(ops[1])
-
-        def imull(m: Machine, nxt: int) -> int:
-            src = sign32(rd0(m))
-            dst = sign32(rd1(m))
-            exact = dst * src
-            value = exact & MASK32
-            lost = not -0x8000_0000 <= exact <= 0x7FFF_FFFF
-            f = m.regs.flags
-            f.cf = lost
-            f.of = lost
-            f.zf = value == 0
-            f.sf = bool(value & 0x8000_0000)
-            wr(m, value)
-            return nxt
-        return imull
-
-    if m_ in ("andl", "orl", "xorl", "testl"):
-        rd0, rd1 = _compile_read(ops[0]), _compile_read(ops[1])
-        bitop = {"andl": lambda d, s: d & s, "orl": lambda d, s: d | s,
-                 "xorl": lambda d, s: d ^ s,
-                 "testl": lambda d, s: d & s}[m_]
-        wr = None if m_ == "testl" else _compile_write(ops[1])
-
-        def logic(m: Machine, nxt: int) -> int:
-            value = bitop(rd1(m), rd0(m))
-            f = m.regs.flags
-            f.cf = False
-            f.of = False
-            f.zf = value == 0
-            f.sf = bool(value & 0x8000_0000)
-            if wr is not None:
-                wr(m, value)
-            return nxt
-        return logic
-
-    if m_ in ("sall", "shll", "sarl", "shrl"):
-        rd0, rd1 = _compile_read(ops[0]), _compile_read(ops[1])
-        wr = _compile_write(ops[1])
-        left = m_ in ("sall", "shll")
-        arithmetic = m_ == "sarl"
-
-        def shift(m: Machine, nxt: int) -> int:
-            count = rd0(m) & 0x1F
-            raw = rd1(m)
-            if count:
-                if left:
-                    cf = bool((raw >> (32 - count)) & 1)
-                    value = (raw << count) & MASK32
-                elif arithmetic:
-                    cf = bool((raw >> (count - 1)) & 1)
-                    value = (sign32(raw) >> count) & MASK32
-                else:
-                    cf = bool((raw >> (count - 1)) & 1)
-                    value = raw >> count
-                f = m.regs.flags
-                f.cf = cf
-                f.of = False
-                f.zf = (value & MASK32) == 0
-                f.sf = bool(value & 0x8000_0000)
-                wr(m, value)
-            return nxt
-        return shift
-
-    if m_ == "notl":
-        rd, wr = _compile_read(ops[0]), _compile_write(ops[0])
-
-        def notl(m: Machine, nxt: int) -> int:
-            wr(m, ~rd(m) & MASK32)
-            return nxt
-        return notl
-
-    if m_ == "negl":
-        rd, wr = _compile_read(ops[0]), _compile_write(ops[0])
-
-        def negl(m: Machine, nxt: int) -> int:
-            raw = rd(m)
-            value = (0 - raw) & MASK32
-            f = m.regs.flags
-            f.cf = raw != 0
-            f.of = bool(raw & value & 0x8000_0000)
-            f.zf = value == 0
-            f.sf = bool(value & 0x8000_0000)
-            wr(m, value)
-            return nxt
-        return negl
-
-    if m_ in ("incl", "decl"):
-        rd, wr = _compile_read(ops[0]), _compile_write(ops[0])
-        if m_ == "incl":
-            def incl(m: Machine, nxt: int) -> int:
-                dst = rd(m)
-                value = (dst + 1) & MASK32
-                f = m.regs.flags       # inc/dec preserve CF on x86
-                f.of = bool(~(dst ^ 1) & (dst ^ value) & 0x8000_0000)
-                f.zf = value == 0
-                f.sf = bool(value & 0x8000_0000)
-                wr(m, value)
-                return nxt
-            return incl
-
-        def decl(m: Machine, nxt: int) -> int:
-            dst = rd(m)
-            value = (dst - 1) & MASK32
-            f = m.regs.flags           # inc/dec preserve CF on x86
-            f.of = bool((dst ^ 1) & (dst ^ value) & 0x8000_0000)
-            f.zf = value == 0
-            f.sf = bool(value & 0x8000_0000)
-            wr(m, value)
-            return nxt
-        return decl
-
-    if m_ == "idivl":
-        rd = _compile_read(ops[0])
-
-        def idivl(m: Machine, nxt: int) -> int:
-            divisor = sign32(rd(m))
-            if divisor == 0:
-                raise MachineFault("divide error: division by zero")
-            dividend = (m.regs.get("edx") << 32) | m.regs.get("eax")
-            if dividend & (1 << 63):
-                dividend -= 1 << 64
-            quotient = abs(dividend) // abs(divisor)
-            if (dividend < 0) != (divisor < 0):
-                quotient = -quotient
-            remainder = dividend - quotient * divisor
-            if not -(1 << 31) <= quotient < (1 << 31):
-                raise MachineFault("divide error: quotient overflow")
-            m.regs.set("eax", quotient & MASK32)
-            m.regs.set("edx", remainder & MASK32)
-            return nxt
-        return idivl
-
-    if m_ == "cltd":
-        def cltd(m: Machine, nxt: int) -> int:
-            m.regs.set("edx",
-                       MASK32 if m.regs.get("eax") & 0x8000_0000 else 0)
-            return nxt
-        return cltd
-
-    if m_ == "pushl":
-        rd = _compile_read(ops[0])
-
-        def pushl(m: Machine, nxt: int) -> int:
-            m.push(rd(m))
-            return nxt
-        return pushl
-
-    if m_ == "popl":
-        wr = _compile_write(ops[0])
-
-        def popl(m: Machine, nxt: int) -> int:
-            wr(m, m.pop())
-            return nxt
-        return popl
-
-    if m_ == "jmp":
-        rd = _compile_read(ops[0])
-
-        def jmp(m: Machine, nxt: int) -> int:
-            return rd(m)
-        return jmp
-
-    if m_ in _JUMP_CONDITIONS:
-        cond = _JUMP_CONDITIONS[m_]
-        rd = _compile_read(ops[0])
-
-        def jcc(m: Machine, nxt: int) -> int:
-            return rd(m) if cond(m.regs.flags) else nxt
-        return jcc
-
-    if m_ == "call":
-        rd = _compile_read(ops[0])
-
-        def call(m: Machine, nxt: int) -> int:
-            m.push(nxt)
-            return rd(m)
-        return call
-
-    if m_ == "ret":
-        def ret(m: Machine, nxt: int) -> int:
-            return m.pop()
-        return ret
-
-    if m_ == "leave":
-        def leave(m: Machine, nxt: int) -> int:
-            m.regs.set("esp", m.regs.get("ebp"))
-            m.regs.set("ebp", m.pop())
-            return nxt
-        return leave
-
-    if m_ == "nop":
-        def nop(m: Machine, nxt: int) -> int:
-            return nxt
-        return nop
-
-    if m_ == "halt":
-        def halt(m: Machine, nxt: int) -> int:
-            m.halted = True
-            return nxt
-        return halt
-
-    # pragma: no cover - the assembler rejects unknown mnemonics
-    return _raiser(IllegalInstruction(f"unimplemented mnemonic {m_!r}"))

@@ -7,23 +7,34 @@ Chrome document of a fixed program is a pure function of the code
 path. A change to the per-access memory path that claims to keep
 "every recorder event bit-identical" must leave these digests as they
 are; a deliberate change to what gets recorded updates them here.
+
+Interpreted kernel slices record through the same bulk-append loop as a
+traced ``run()``. Against slices that call ``step()`` once per
+instruction, the events are the same multiset and keep their order
+within each kind; only the interleaving of fetch instants and spans
+inside one flush differs (fetches are listed first), which is why the
+``("virtual", False)`` digest is what it is.
 """
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from repro.isa.assembler import assemble
+from repro.isa.machine import Machine
 from repro.obs import TraceRecorder
 from repro.obs.chrome import to_chrome
 from repro.system.runner import program_from_source, run_system
 
+from .test_slice_oracle import CRASHER
 from .test_trace_oracle import LOOPY
 
 #: sha256 of the compact, key-sorted JSON of each Chrome document
 DIGESTS = {
     ("virtual", False):
-        "ae66ddcc771962b8ea8e799fdd92b34c018fbe370195c2a4a4e1e7ecd8910f3a",
+        "0c93754cfd1534c9d58dad524209f201dd5336207b7f59549a62e291593be1ab",
     ("virtual", True):
         "997fee48fc953564fe24911dfa7a0bfd9e41bfcf2fe5b5313f38f7023b3577de",
     ("cached", False):
@@ -45,3 +56,43 @@ def chrome_digest(bus: str, jit: bool) -> str:
 @pytest.mark.parametrize("bus,jit", sorted(DIGESTS))
 def test_chrome_document_is_pinned(bus, jit):
     assert chrome_digest(bus, jit) == DIGESTS[bus, jit]
+
+
+def stepped_slice(self, limit, *, jit=None):
+    """A slice of one ``step()`` per instruction, each recorded alone."""
+    before = self.steps
+    while not self.halted and self.steps - before < limit:
+        self.step()
+    return self.steps - before
+
+
+def virtual_events(program) -> list:
+    rec = TraceRecorder()
+    run_system(program, bus="virtual", recorder=rec, jit=False, procs=2,
+               timeslice=1, batch=50)
+    assert rec.dropped == 0
+    return rec.events()
+
+
+def by_kind(events) -> tuple[list, list, list]:
+    """(instruction spans, fetch instants, every other event), each in
+    recorded order."""
+    isa = [e for e in events if e.pid == "isa"]
+    return ([e for e in isa if e.ph == "X"],
+            [e for e in isa if e.name == "fetch"],
+            [e for e in events if e.pid != "isa"])
+
+
+@pytest.mark.parametrize("source", ["loopy", "crasher"])
+def test_traced_slices_match_stepped_slices(monkeypatch, source):
+    """``crasher`` segfaults in the middle of a slice: the faulting
+    instruction's fetch is recorded, its span is not, on both paths."""
+    program = (program_from_source(LOOPY) if source == "loopy"
+               else assemble(CRASHER))
+    bulk = virtual_events(program)
+    monkeypatch.setattr(Machine, "run_slice", stepped_slice)
+    stepped = virtual_events(program)
+    assert Counter(map(repr, bulk)) == Counter(map(repr, stepped))
+    assert all(by_kind(bulk))
+    assert by_kind(bulk) == by_kind(stepped)
+    assert bulk != stepped                   # only the interleaving moved
