@@ -5,7 +5,9 @@ Accepts the assembly dialect the course reads and writes: ``movl $5,
 ``movl (%eax,%ecx,4), %edx``, labels, jumps, call/ret/leave, and
 comments (``#`` to end of line). Pass one lays out instructions at
 4-byte slots in the text region and collects labels; pass two resolves
-label references.
+label references and rejects an instruction left with two memory
+operands (``andl (%eax), (%ebx)``, or a data label beside one), which
+IA-32 cannot encode.
 """
 
 from __future__ import annotations
@@ -235,6 +237,12 @@ def assemble(source: str, *, entry: str = "main",
                     resolved.append(Memory(displacement=addr))
             else:
                 resolved.append(op)
+        if len(resolved) == 2 and isinstance(resolved[0], Memory) \
+                and isinstance(resolved[1], Memory):
+            # IA-32 encodes at most one memory operand per instruction
+            raise AssemblerError(
+                f"line {ins.source_line}: {ins.mnemonic} cannot take two "
+                f"memory operands")
         ins.operands = tuple(resolved)
 
     return Program(instructions, labels, entry=entry,

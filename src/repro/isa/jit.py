@@ -35,7 +35,7 @@ constraint, pinned by the differential tests:
   are unchanged — while *bus accounting* is deferred: each access
   appends a ``(kind, address, size)`` tuple to a pending list that is
   replayed in one ``replay_block`` call per block, where the vectorized
-  engines (``CacheHierarchy.simulate_trace``, ``MMU.translate_many``)
+  engines (``CacheHierarchy.simulate_arrays``, ``MMU.translate_many``)
   replace per-access scalar simulation. Pending accounting is flushed
   before any interpreted instruction and on every fault, so the
   hierarchy always sees the exact scalar access sequence.

@@ -88,6 +88,10 @@ class Machine:
         self.jit = jit
         self.jit_threshold = jit_threshold
         self._jit_engine = None       # built lazily; False = unsupported
+        #: the traced loop's interned ids, built once per recorder and
+        #: handler table: (recorder, handlers, ids by address, track,
+        #: cat, eip key, fetch id or -1)
+        self._trace_ids = None
         #: shared trace recorder (see repro.obs); NULL_RECORDER when off
         self.recorder = coalesce(recorder)
         self.regs.set("esp", STACK_TOP - 16)
@@ -472,19 +476,25 @@ class Machine:
         assignment per column instead of one event object per step.
         Flushes happen before any fault instant and on exit, so spans
         keep execution order among themselves, and so do fetch instants;
-        within one chunk the fetches are listed before the spans.
+        within one chunk the fetches are listed before the spans. The
+        label ids are interned on the first traced call only, so a
+        kernel's many short slices do not re-intern the program.
         """
         handlers = self._predecode()
         regs = self.regs
         record = self.record_fetches
         fetch = self.space.fetch
         rec = self.recorder
-        ids = {addr: rec.intern(ins.mnemonic)
-               for addr, ins in self.program.by_address.items()}
-        track = rec.intern_track("isa", "cpu")
-        cat = rec.intern("isa")
-        eip_key = rec.intern("eip")
-        fetch_id = rec.intern("fetch") if record else -1
+        table = self._trace_ids
+        if (table is None or table[0] is not rec or table[1] is not handlers
+                or (record and table[6] < 0)):
+            table = self._trace_ids = (
+                rec, handlers,
+                {addr: rec.intern(ins.mnemonic)
+                 for addr, ins in self.program.by_address.items()},
+                rec.intern_track("isa", "cpu"), rec.intern("isa"),
+                rec.intern("eip"), rec.intern("fetch") if record else -1)
+        _, _, ids, track, cat, eip_key, fetch_id = table
         chunk = self.TRACE_CHUNK
         pending: list[int] = []                      # eips, in step order
         append = pending.append

@@ -80,6 +80,17 @@ class CacheHierarchy:
     def simulate_trace(self, accesses):
         """Vectorized :meth:`run_trace`: whole-trace hierarchy simulation.
 
+        Accepts the trace shapes :meth:`run_trace` accepts (see
+        :func:`~repro.memory.vectorcache.as_trace_arrays`) and runs
+        :meth:`simulate_arrays` over them.
+        """
+        from repro.memory import vectorcache
+        return self.simulate_arrays(*vectorcache.as_trace_arrays(accesses))
+
+    def simulate_arrays(self, addrs, stores):
+        """Whole-trace hierarchy simulation over int64 addresses and a
+        bool store mask.
+
         Every level runs the batch engine over the miss stream of the
         level above — the same access sequence each level sees in the
         scalar model — so all per-level stats (and therefore
@@ -93,7 +104,6 @@ class CacheHierarchy:
         import numpy as np
 
         from repro.memory import vectorcache
-        addrs, stores = vectorcache.as_trace_arrays(accesses)
         hit_level = np.full(len(addrs), -1, dtype=np.int8)
         remaining = np.arange(len(addrs))
         for i, cache in enumerate(self.levels):

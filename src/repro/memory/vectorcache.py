@@ -12,6 +12,18 @@ the Python-level loop runs ``max accesses per set`` times instead of
 model, so within-set order (the only order that matters) is preserved
 exactly.
 
+Two shapes get their own paths. A direct-mapped cache needs no loop at
+all: residency follows from segmented forward-fills over the set-sorted
+trace. A *skewed* trace — a few hot sets taking most accesses, as in
+the compiled inner loops the JIT's cached bus replays — would make the
+rounds degenerate into one numpy call per access, so it is replayed
+over plain Python ints one *same-line run* at a time: an access with
+the set and tag of the previous access to its set, when that access
+allocated the line, is a hit by construction and only updates the
+run's stamps and dirty bit. The Python loop visits run heads only —
+the vectorized analogue of ``MMU.translate_many`` collapsing runs of
+same-page accesses.
+
 Exactness is the design constraint, not an aspiration: LRU and FIFO
 victims fall out of the same timestamp comparisons the scalar engine
 makes (stamps *are* the scalar clock values), and the ``random`` policy
@@ -24,7 +36,7 @@ replacement/write-policy combination to it.
 
 The one unsupported configuration is ``prefetch_next_line`` — a
 prefetch fills a *different* set, breaking per-set independence —
-callers (``Cache.simulate_trace``, ``CacheHierarchy.simulate_trace``)
+callers (``Cache.simulate_trace``, ``CacheHierarchy.simulate_arrays``)
 fall back to the scalar paths for it.
 """
 
@@ -210,12 +222,13 @@ def simulate_arrays(cache: Cache, addrs: np.ndarray,
     elif int(counts.max()) * 8 > n:
         # skewed trace: a few hot sets absorb most accesses (a compiled
         # inner loop is the extreme case — num_rounds ≈ n), so lockstep
-        # rounds degenerate into per-access numpy calls. Replay
-        # sequentially over plain ints instead; same simulation, no
-        # per-round overhead, throughput independent of skew.
-        _simulate_seq(cache, config, tags, set_ids, stores, base_clock,
-                      hitmask, evict_m, wb_m,
-                      tag_a, valid_a, dirty_a, used_a, loaded_a)
+        # rounds degenerate into per-access numpy calls. Replay over
+        # plain ints instead, one same-line run per iteration: same
+        # simulation, no per-round overhead, and a loop that walks
+        # each line once per run of touches rather than once per touch.
+        _replay_line_runs(cache, order, sorted_sets, tags, stores,
+                          base_clock, hitmask, evict_m, wb_m,
+                          tag_a, valid_a, dirty_a, used_a, loaded_a)
     else:
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n) - np.repeat(starts, counts)
@@ -305,19 +318,26 @@ def simulate_arrays(cache: Cache, addrs: np.ndarray,
     return hitmask
 
 
-def _simulate_seq(cache, config, tags, set_ids, stores, base_clock,
-                  hitmask, evict_m, wb_m,
-                  tag_a, valid_a, dirty_a, used_a, loaded_a) -> None:
-    """Exact sequential replay over plain ints — the skewed-trace path.
+def _replay_line_runs(cache, order, sorted_sets, tags, stores, base_clock,
+                      hitmask, evict_m, wb_m,
+                      tag_a, valid_a, dirty_a, used_a, loaded_a) -> None:
+    """Exact replay of a skewed trace, one same-line run at a time.
 
-    The same per-access simulation as :meth:`Cache.access`, restated
-    over Python lists (no line objects, no per-access stats or result
-    objects), mutating the ingested state arrays in place. Victim
-    selection ties break identically (first minimum / first invalid
-    way), and the ``random`` policy draws from the same per-set streams
-    in trace order, so the outcome is bit-identical to both the scalar
-    engine and the lockstep rounds.
+    Works in the stable set-sorted order. An access *follows* when it
+    has the set and tag of the previous access to its set and that
+    access allocates (any access under write-allocate, else a load):
+    the line is then resident, so a follower is a hit by construction.
+    Only run heads take the per-access simulation of
+    :meth:`Cache.access`, restated over Python lists; each run stamps
+    ``last_used`` with its last access's clock, ``loaded_at`` (on a
+    fill) with its head's, and under write-back dirties the line if any
+    of its accesses stores. Victim selection ties break identically
+    (first minimum / first invalid way) and misses happen only at
+    heads, so the ``random`` policy draws from the same per-set streams
+    in the same order, and the outcome is bit-identical to both the
+    scalar engine and the lockstep rounds.
     """
+    config = cache.config
     assoc = config.associativity
     write_back = config.write_policy == "write-back"
     write_allocate = config.write_allocate
@@ -325,18 +345,33 @@ def _simulate_seq(cache, config, tags, set_ids, stores, base_clock,
     fifo = config.replacement == "fifo"
     rng = cache._set_rng
     ways = range(assoc)
+
+    n = len(order)
+    t_s = tags[order]
+    st_s = stores[order]
+    follows = (sorted_sets[1:] == sorted_sets[:-1]) & (t_s[1:] == t_s[:-1])
+    if not write_allocate:
+        follows &= ~st_s[:-1]
+    heads = np.flatnonzero(np.r_[True, ~follows])
+    lasts = np.r_[heads[1:], n] - 1
+    # stamps are the scalar clock values: clock0 + 1-based trace position
+    first_stamp = base_clock + 1 + order[heads]
+    last_stamp = base_clock + 1 + order[lasts]
+    run_dirty = (np.logical_or.reduceat(st_s, heads) if write_back
+                 else np.zeros(len(heads), dtype=bool))
+
     tag_l = tag_a.tolist()
     valid_l = valid_a.tolist()
     dirty_l = dirty_a.tolist()
     used_l = used_a.tolist()
     loaded_l = loaded_a.tolist()
-    hits = hitmask.tolist()
-    ev = evict_m.tolist()
-    wb = wb_m.tolist()
-    clock = base_clock
-    for i, (si, tg, st) in enumerate(zip(set_ids.tolist(), tags.tolist(),
-                                         stores.tolist())):
-        clock += 1
+    hit_h = []
+    evict_h = []
+    wb_h = []
+    for k, (si, tg, st, first, last, dirty) in enumerate(zip(
+            sorted_sets[heads].tolist(), t_s[heads].tolist(),
+            st_s[heads].tolist(), first_stamp.tolist(),
+            last_stamp.tolist(), run_dirty.tolist())):
         vs = valid_l[si]
         ts = tag_l[si]
         way = -1
@@ -345,9 +380,9 @@ def _simulate_seq(cache, config, tags, set_ids, stores, base_clock,
                 way = w
                 break
         if way >= 0:
-            hits[i] = True
-            used_l[si][way] = clock
-            if st and write_back:
+            hit_h.append(k)
+            used_l[si][way] = last
+            if dirty:
                 dirty_l[si][way] = True
             continue
         if st and not write_allocate:
@@ -366,19 +401,21 @@ def _simulate_seq(cache, config, tags, set_ids, stores, base_clock,
                 victim = ld.index(min(ld))
             else:
                 victim = rng(si).randrange(assoc)
-            ev[i] = True
+            evict_h.append(k)
             if write_back and dirty_l[si][victim]:
-                wb[i] = True
+                wb_h.append(k)
         ts[victim] = tg
         vs[victim] = True
-        used_l[si][victim] = clock
-        loaded_l[si][victim] = clock
-        dirty_l[si][victim] = st and write_back
+        used_l[si][victim] = last
+        loaded_l[si][victim] = first
+        dirty_l[si][victim] = dirty
     tag_a[:] = tag_l
     valid_a[:] = valid_l
     dirty_a[:] = dirty_l
     used_a[:] = used_l
     loaded_a[:] = loaded_l
-    hitmask[:] = hits
-    evict_m[:] = ev
-    wb_m[:] = wb
+    hit_s = np.r_[False, follows]
+    hit_s[heads[hit_h]] = True
+    hitmask[order] = hit_s
+    evict_m[order[heads[evict_h]]] = True
+    wb_m[order[heads[wb_h]]] = True

@@ -35,6 +35,8 @@ from collections import Counter
 from operator import itemgetter
 from typing import Protocol, runtime_checkable
 
+import numpy as np
+
 from repro.clib.address_space import AddressSpace, ByteAddressable
 from repro.errors import BusError
 from repro.memory.cache import CacheConfig
@@ -100,7 +102,6 @@ def _charge_hit_levels(stats: BusStats, hierarchy: CacheHierarchy,
     ``count * cycles`` equals the scalar path's repeated additions
     exactly, so stats-equality asserts hold bit-for-bit.
     """
-    import numpy as np
     levels = hierarchy.levels
     counts = np.bincount(np.asarray(hit_level, dtype=np.int64) + 1,
                          minlength=len(levels) + 1)
@@ -248,29 +249,28 @@ class CachedBus(ByteAddressable):
     def replay_block(self, accesses) -> None:
         """Account a block of deferred ``(kind, address, size)`` accesses.
 
-        One :meth:`CacheHierarchy.simulate_trace` call replaces the
-        per-access scalar probes; the hierarchy sees the identical
-        probe sequence (fetches probe like loads, as in :meth:`fetch`),
-        so level stats, final set state, and cycle charges match the
-        scalar path exactly.
+        One :meth:`CacheHierarchy.simulate_arrays` call replaces the
+        per-access scalar probes. The address array and store mask are
+        built at C speed, with no per-access Python tuple; fetches probe
+        like loads, as in :meth:`fetch`. The hierarchy sees the
+        identical probe sequence, so level stats, final set state, and
+        cycle charges match the scalar path exactly.
         """
         if not accesses:
             return
-        loads = stores = fetches = 0
-        probes = []
-        for kind, address, _ in accesses:
-            if kind == "load":
-                loads += 1
-            elif kind == "store":
-                stores += 1
-            else:
-                fetches += 1
-            probes.append((address, "store" if kind == "store" else "load"))
+        n = len(accesses)
+        kinds = list(map(itemgetter(0), accesses))
+        loads = kinds.count("load")
+        stores = kinds.count("store")
         self.stats.loads += loads
         self.stats.stores += stores
-        self.stats.fetches += fetches
+        self.stats.fetches += n - loads - stores
+        addrs = np.fromiter(map(itemgetter(1), accesses), dtype=np.int64,
+                            count=n)
+        store_mask = np.fromiter(map("store".__eq__, kinds), dtype=bool,
+                                 count=n)
         _charge_hit_levels(self.stats, self.hierarchy, self.cost,
-                           self.hierarchy.simulate_trace(probes))
+                           self.hierarchy.simulate_arrays(addrs, store_mask))
 
     def describe(self) -> str:
         levels = " -> ".join(
@@ -514,7 +514,7 @@ class VirtualBus:
         :meth:`MMU.translate_many` call covers every touched page (same
         TLB/page-table/frame transitions as the scalar walk, pinned by
         the MMU's own tests), and the resulting physical addresses
-        probe the caches through one ``simulate_trace`` call. MMU and
+        probe the caches through one ``simulate_arrays`` call. MMU and
         cache state are independent, and each sees its exact scalar
         sequence, so end state and charges are identical even though
         translation and probing are no longer interleaved.
@@ -526,17 +526,11 @@ class VirtualBus:
         offset_mask = self.page_size - 1
         linears: list[int] = []
         writes: list[bool] = []
-        probe_kinds: list[str] = []
-        loads = stores = fetches = 0
+        kinds = list(map(itemgetter(0), accesses))
+        loads = kinds.count("load")
+        stores = kinds.count("store")
         for kind, address, size in accesses:
             write = kind == "store"
-            probe = "store" if write else "load"
-            if kind == "load":
-                loads += 1
-            elif kind == "store":
-                stores += 1
-            else:
-                fetches += 1
             addr = address
             end = address + size
             while addr < end:
@@ -544,12 +538,12 @@ class VirtualBus:
                 vpn = seg.base_vpn + ((addr - seg.start) >> offset_bits)
                 linears.append((vpn << offset_bits) | (addr & offset_mask))
                 writes.append(write)
-                probe_kinds.append(probe)
                 addr = (addr | offset_mask) + 1
         self.stats.loads += loads
         self.stats.stores += stores
-        self.stats.fetches += fetches
-        t = self.mmu.translate_many(linears, writes=writes, pid=pid)
+        self.stats.fetches += len(accesses) - loads - stores
+        store_mask = np.array(writes, dtype=bool)
+        t = self.mmu.translate_many(linears, writes=store_mask, pid=pid)
         hits = t.tlb_hits
         misses = t.accesses - hits
         if hits:
@@ -560,9 +554,9 @@ class VirtualBus:
         if t.page_faults:
             self.stats.charge(
                 "fault", t.page_faults * self.cost.fault_service_time)
-        probes = list(zip(t.paddrs.tolist(), probe_kinds))
         _charge_hit_levels(self.stats, self.hierarchy, self.cost,
-                           self.hierarchy.simulate_trace(probes))
+                           self.hierarchy.simulate_arrays(t.paddrs,
+                                                          store_mask))
 
     def describe(self) -> str:
         levels = " -> ".join(

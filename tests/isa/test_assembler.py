@@ -93,6 +93,16 @@ class TestAssemble:
         with pytest.raises(AssemblerError):
             assemble("main:\n  movl %eax, $5")
 
+    def test_two_memory_operands_rejected(self):
+        with pytest.raises(AssemblerError,
+                           match="line 2: andl cannot take two memory"):
+            assemble("main:\n  andl (%eax), (%ebx)\n  ret")
+        # a data label resolves to an absolute memory operand
+        with pytest.raises(AssemblerError,
+                           match="line 6: movl cannot take two memory"):
+            assemble(".data\nx:\n  .long 1\n.text\n"
+                     "main:\n  movl x, 4(%esp)\n  ret")
+
     def test_cmpl_allows_immediate_second(self):
         p = assemble("main:\n  cmpl $0, %eax\n  ret")
         assert p.instructions[0].mnemonic == "cmpl"

@@ -17,10 +17,19 @@ import sys
 import pytest
 
 from repro.analysis.opt import optimize_program
-from repro.clib.address_space import AddressSpace
+from repro.clib.address_space import TEXT_BASE, AddressSpace
 from repro.isa import codegen
 from repro.isa.assembler import assemble
 from repro.isa.ccompiler import compile_c
+from repro.isa.instructions import (
+    INSTRUCTION_SIZE,
+    Immediate,
+    Instruction,
+    LabelRef,
+    Memory,
+    Program,
+    Register,
+)
 from repro.isa.machine import Machine
 from repro.system.runner import program_from_source, run_system
 
@@ -56,23 +65,29 @@ def test_declined_forms_fall_back_to_the_interpreter():
 
 
 def test_two_memory_operands_load_in_step_order():
-    """The assembler accepts ``andl (%eax), (%ebx)``; every path loads
-    the source before the destination, as ``step()`` does."""
-    program = assemble("""
-main:
-  leal -4(%esp), %eax
-  leal -8(%esp), %ebx
-  movl $12, (%eax)
-  movl $10, (%ebx)
-  movl $3, %ecx
-loop:
-  andl (%eax), (%ebx)
-  xorl (%ebx), (%eax)
-  decl %ecx
-  jne loop
-  movl (%eax), %eax
-  ret
-""")
+    """``andl (%eax), (%ebx)`` cannot be assembled (IA-32 forbids two
+    memory operands), but a hand-built Program can carry it; every path
+    loads the source before the destination, as ``step()`` does."""
+    a, b = Memory(0, "eax"), Memory(0, "ebx")
+    loop = TEXT_BASE + 5 * INSTRUCTION_SIZE
+    rows = [
+        ("leal", Memory(-4, "esp"), Register("eax")),   # main:
+        ("leal", Memory(-8, "esp"), Register("ebx")),
+        ("movl", Immediate(12), a),
+        ("movl", Immediate(10), b),
+        ("movl", Immediate(3), Register("ecx")),
+        ("andl", a, b),                                 # loop:
+        ("xorl", b, a),
+        ("decl", Register("ecx")),
+        ("jne", LabelRef("loop", loop)),
+        ("movl", a, Register("eax")),
+        ("ret",),
+    ]
+    program = Program(
+        [Instruction(mnemonic, tuple(operands),
+                     address=TEXT_BASE + i * INSTRUCTION_SIZE)
+         for i, (mnemonic, *operands) in enumerate(rows)],
+        {"main": TEXT_BASE, "loop": loop})
 
     def by_step(m):
         while not m.halted:

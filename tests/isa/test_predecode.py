@@ -16,6 +16,7 @@ from repro.errors import IllegalInstruction, MachineFault
 from repro.isa.assembler import assemble
 from repro.isa.ccompiler import compile_c
 from repro.isa.machine import Machine
+from repro.obs import TraceRecorder
 
 EXAMPLES = sorted(pathlib.Path(__file__, "../../../examples/c")
                   .resolve().glob("*.c"))
@@ -180,3 +181,33 @@ class TestPredecodeCache:
         assert program.predecoded is None
         m = Machine(program)
         assert m.run() == 3
+
+
+class TestTracedLoop:
+    def test_second_traced_slice_interns_nothing(self, monkeypatch):
+        """A kernel runs a process in many short traced slices; the
+        label ids are interned once per machine and recorder."""
+        program = assemble(compile_c(
+            "int main() { int s = 0; int i;"
+            " for (i = 0; i < 50; i = i + 1) { s = s + i; } return s; }"))
+        rec = TraceRecorder()
+        m = Machine(program, recorder=rec, record_fetches=True)
+        assert m.run_slice(20) == 20
+        strings = len(rec._strings)
+        interned = []
+
+        def spy(name):
+            def record(*args):
+                interned.append(args)
+                return getattr(TraceRecorder, name)(rec, *args)
+            return record
+
+        monkeypatch.setattr(rec, "intern", spy("intern"))
+        monkeypatch.setattr(rec, "intern_track", spy("intern_track"))
+        assert m.run_slice(20) == 20
+        assert interned == []
+        assert len(rec._strings) == strings
+        spans = [e for e in rec.events() if e.ph == "X"]
+        assert len(spans) == 40
+        assert [e.name for e in spans] == [
+            program.by_address[e.args["eip"]].mnemonic for e in spans]

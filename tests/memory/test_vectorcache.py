@@ -4,7 +4,8 @@
 folding ``Cache.access`` over the same trace: aggregate stats, the
 per-access hit mask, the final line state of every set, and the LRU
 clock all have to match — for every replacement policy × write policy ×
-write-allocate × associativity combination, on randomized traces.
+write-allocate × associativity combination, on randomized traces and on
+hot-loop traces of long same-line runs.
 """
 
 import random
@@ -26,6 +27,32 @@ def make_trace(n, span, seed, store_fraction):
         kind = "store" if rng.random() < store_fraction else "load"
         trace.append((addr, kind))
     return trace
+
+
+def hot_loop_trace(n, seed):
+    """A compiled inner loop: the shape the JIT's cached bus replays.
+
+    Each iteration fetches six instructions from two code lines, loads
+    and stores a hot stack slot, and touches the next word of an array
+    three times the cache's capacity. The first touch of every array
+    line is a store followed by a load of the same word, so under
+    no-write-allocate a bypassed store miss precedes a load miss of its
+    line. Same-line runs are long, carry stores inside them, and crowd
+    a few sets.
+    """
+    rng = random.Random(seed)
+    code, stack, array, span = 0x100, 0x7F0, 0x400, 16 * 16 * 3
+    trace = []
+    i = 0
+    while len(trace) < n:
+        trace += [(pc, "load") for pc in range(code, code + 24, 4)]
+        trace += [(stack, "load"), (stack, "store")]
+        addr = array + (4 * i) % span
+        if addr % 16 == 0 or rng.random() < 0.3:
+            trace.append((addr, "store"))
+        trace.append((addr, "load"))
+        i += 1
+    return trace[:n]
 
 
 def scalar_oracle(config, trace):
@@ -61,17 +88,24 @@ class TestOracleEquivalence:
                              associativity=assoc, replacement=replacement,
                              write_policy=write_policy,
                              write_allocate=write_allocate, seed=7)
-        trace = make_trace(400, 16 * 16 * 6, seed=assoc * 100 + 1,
-                           store_fraction=store_fraction)
-        oracle, oracle_hits = scalar_oracle(config, trace)
+        scattered = make_trace(400, 16 * 16 * 6, seed=assoc * 100 + 1,
+                               store_fraction=store_fraction)
+        hot = hot_loop_trace(400, seed=assoc * 100 + int(store_fraction * 10))
+        # the hot loop crowds one set past 1/8 of the trace, so the
+        # associative engines take their skewed-trace (line-run) branch
+        sets = Cache(config).layout.divide_many(
+            np.array([a for a, _ in hot]))[1]
+        assert np.bincount(sets).max() * 8 > len(hot)
+        for trace in (scattered, hot):
+            oracle, oracle_hits = scalar_oracle(config, trace)
 
-        vec = Cache(config)
-        hitmask = vectorcache.simulate_trace(vec, trace)
+            vec = Cache(config)
+            hitmask = vectorcache.simulate_trace(vec, trace)
 
-        assert vec.stats == oracle.stats
-        assert hitmask.tolist() == oracle_hits
-        assert set_state(vec) == set_state(oracle)
-        assert vec._clock == oracle._clock
+            assert vec.stats == oracle.stats
+            assert hitmask.tolist() == oracle_hits
+            assert set_state(vec) == set_state(oracle)
+            assert vec._clock == oracle._clock
 
     def test_plain_address_trace(self):
         config = CacheConfig(num_lines=32, block_size=32, associativity=2)
