@@ -19,7 +19,8 @@ memory, :class:`repro.core.race.RaceDetector` and
 ``asmlint``
     assembler-level lint sharing :mod:`repro.isa.assembler`'s grammar —
     undefined/duplicate labels, unreachable code after ``jmp``/``ret``,
-    writes to read-only operands, self-moves, dead stores;
+    two memory operands, writes to read-only operands, self-moves, dead
+    stores;
 ``opt`` / ``verify``
     the translation-validated assembly optimizer: a four-pass pipeline
     (constant folding, local value numbering, liveness-driven dead-code

@@ -7,6 +7,8 @@ as a :class:`~repro.analysis.report.Finding`:
 * syntax/operand problems and unknown mnemonics (what the assembler
   would raise, demoted to per-line findings);
 * arity violations per mnemonic class;
+* two memory operands in one instruction (a bare data label counts as
+  memory, as the assembler resolves it);
 * duplicate label definitions and references to undefined labels;
 * writes to a read-only operand (an immediate destination);
 * unreachable instructions — code after an unconditional ``jmp``,
@@ -220,6 +222,13 @@ def _check_instruction(mnemonic, operands, lineno, path) -> list[Finding]:
                 "for indirect)")
     elif mnemonic in ZEROARY and operands:
         add("asm-arity", f"{mnemonic} takes no operands")
+
+    # IA-32 encodes at most one memory operand; outside jumps and calls
+    # the assembler resolves a bare data label to one
+    if (mnemonic not in JUMPS | CALLS and len(operands) == 2
+            and all(isinstance(op, (Memory, LabelRef)) for op in operands)):
+        add("asm-two-memory",
+            f"{mnemonic} cannot take two memory operands")
 
     # writes to a read-only operand: an immediate destination
     if (mnemonic in ARITH2 and mnemonic not in _ARITH2_READONLY_DEST

@@ -37,6 +37,7 @@ KINDS: dict[str, str] = {
     "asm-duplicate-label": "error",
     "asm-undefined-label": "error",
     "asm-immediate-dest": "error",
+    "asm-two-memory": "error",
     "asm-unreachable": "warning",
     "asm-self-move": "warning",
     "asm-dead-store": "warning",

@@ -240,7 +240,10 @@ class Cache:
         exactly :meth:`access`'s transitions (clock tick before the
         bounds check, victim choice and per-set RNG draws, write
         policy, prefetch, counter samples), without building an
-        :class:`AccessResult` or :class:`AddressParts`. :meth:`access`
+        :class:`AccessResult` or :class:`AddressParts`. Every batch
+        path reaches line state through it too: :meth:`access_many`,
+        the hierarchy's prefetch-level fallback, and the run heads of
+        the vectorized engine's skewed-trace replay. :meth:`access`
         stays the oracle that homework checkers read row by row.
         """
         self._clock += 1

@@ -111,8 +111,8 @@ class CacheHierarchy:
                 break
             if cache.config.prefetch_next_line:
                 hits = np.fromiter(
-                    (cache.access(int(a), "store" if s else "load").hit
-                     for a, s in zip(addrs, stores)),
+                    (cache.probe(a, "store" if s else "load")
+                     for a, s in zip(addrs.tolist(), stores.tolist())),
                     dtype=bool, count=len(addrs))
             else:
                 hits = vectorcache.simulate_arrays(cache, addrs, stores)

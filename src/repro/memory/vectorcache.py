@@ -16,13 +16,15 @@ Two shapes get their own paths. A direct-mapped cache needs no loop at
 all: residency follows from segmented forward-fills over the set-sorted
 trace. A *skewed* trace — a few hot sets taking most accesses, as in
 the compiled inner loops the JIT's cached bus replays — would make the
-rounds degenerate into one numpy call per access, so it is replayed
-over plain Python ints one *same-line run* at a time: an access with
-the set and tag of the previous access to its set, when that access
-allocated the line, is a hit by construction and only updates the
-run's stamps and dirty bit. The Python loop visits run heads only —
-the vectorized analogue of ``MMU.translate_many`` collapsing runs of
-same-page accesses.
+rounds degenerate into one numpy call per access, so it is replayed one
+*same-line run* at a time, the way ``MMU.translate_many`` collapses
+runs of same-page accesses: an access with the set and tag of the
+previous access to its set, when that access allocated the line, is a
+hit by construction. Each run head is one scalar :meth:`Cache.probe`;
+the rest of the run only moves the line's LRU stamp and dirty bit and
+is counted in bulk. That path touches only the ``Line`` objects of the
+sets it probes; the closed form and the rounds copy every set's lines
+into arrays and back.
 
 Exactness is the design constraint, not an aspiration: LRU and FIFO
 victims fall out of the same timestamp comparisons the scalar engine
@@ -30,9 +32,10 @@ makes (stamps *are* the scalar clock values), and the ``random`` policy
 draws from the same per-set seeded streams (``Cache._set_rng``), so
 hits, misses, evictions, writebacks, memory writes, final set state,
 and the clock are all bit-identical to folding :meth:`Cache.access`
-over the trace. The scalar engine stays the behavioral oracle; the
-randomized tests in ``tests/memory/test_vectorcache.py`` pin every
-replacement/write-policy combination to it.
+over the trace (the skewed path gets this from ``probe`` itself). The
+scalar engine stays the behavioral oracle; the randomized tests in
+``tests/memory/test_vectorcache.py`` pin every replacement/write-policy
+combination to it.
 
 The one unsupported configuration is ``prefetch_next_line`` — a
 prefetch fills a *different* set, breaking per-set independence —
@@ -116,9 +119,24 @@ def simulate_arrays(cache: Cache, addrs: np.ndarray,
     if n == 0:
         return hitmask
 
-    layout = cache.layout
-    tags, set_ids, _ = layout.divide_many(addrs)    # validates the trace
+    tags, set_ids, _ = cache.layout.divide_many(addrs)  # validates the trace
     assoc = config.associativity
+
+    # -- group accesses by set, preserving within-set order
+    order = np.argsort(set_ids, kind="stable")
+    sorted_sets = set_ids[order]
+    starts = np.flatnonzero(
+        np.r_[True, sorted_sets[1:] != sorted_sets[:-1]])
+    counts = np.diff(np.r_[starts, n])
+
+    if assoc > 1 and int(counts.max()) * 8 > n:
+        # skewed trace: a few hot sets absorb most accesses (a compiled
+        # inner loop is the extreme case — num_rounds ≈ n), so lockstep
+        # rounds would degenerate into per-access numpy calls
+        _probe_line_runs(cache, addrs, stores, order, sorted_sets, tags,
+                         hitmask)
+        return hitmask
+
     write_back = config.write_policy == "write-back"
     write_allocate = config.write_allocate
     replacement = config.replacement
@@ -134,14 +152,6 @@ def simulate_arrays(cache: Cache, addrs: np.ndarray,
                       dtype=np.int64)
     loaded_a = np.array([[l.loaded_at for l in ways] for ways in cache.sets],
                         dtype=np.int64)
-
-    # -- group accesses by set, then slice into lockstep rounds: the k-th
-    # access of every set executes together, preserving within-set order
-    order = np.argsort(set_ids, kind="stable")
-    sorted_sets = set_ids[order]
-    starts = np.flatnonzero(
-        np.r_[True, sorted_sets[1:] != sorted_sets[:-1]])
-    counts = np.diff(np.r_[starts, n])
 
     # stamps are the scalar clock values: clock0 + 1-based trace position
     base_clock = cache._clock
@@ -219,17 +229,8 @@ def simulate_arrays(cache: Cache, addrs: np.ndarray,
         lower_end = np.where(lf >= 0, lf, starts)
         dirty1[sids] = ((ds[ends + 1] - ds[lower_end] > 0)
                         | ((lf < 0) & dirty1[sids]))
-    elif int(counts.max()) * 8 > n:
-        # skewed trace: a few hot sets absorb most accesses (a compiled
-        # inner loop is the extreme case — num_rounds ≈ n), so lockstep
-        # rounds degenerate into per-access numpy calls. Replay over
-        # plain ints instead, one same-line run per iteration: same
-        # simulation, no per-round overhead, and a loop that walks
-        # each line once per run of touches rather than once per touch.
-        _replay_line_runs(cache, order, sorted_sets, tags, stores,
-                          base_clock, hitmask, evict_m, wb_m,
-                          tag_a, valid_a, dirty_a, used_a, loaded_a)
     else:
+        # lockstep rounds: the k-th access of every set executes together
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n) - np.repeat(starts, counts)
         round_order = np.argsort(rank, kind="stable")
@@ -318,104 +319,70 @@ def simulate_arrays(cache: Cache, addrs: np.ndarray,
     return hitmask
 
 
-def _replay_line_runs(cache, order, sorted_sets, tags, stores, base_clock,
-                      hitmask, evict_m, wb_m,
-                      tag_a, valid_a, dirty_a, used_a, loaded_a) -> None:
-    """Exact replay of a skewed trace, one same-line run at a time.
+def _probe_line_runs(cache, addrs, stores, order, sorted_sets, tags,
+                     hitmask) -> None:
+    """Replay a skewed trace through :meth:`Cache.probe`, one run at a time.
 
     Works in the stable set-sorted order. An access *follows* when it
     has the set and tag of the previous access to its set and that
     access allocates (any access under write-allocate, else a load):
     the line is then resident, so a follower is a hit by construction.
-    Only run heads take the per-access simulation of
-    :meth:`Cache.access`, restated over Python lists; each run stamps
-    ``last_used`` with its last access's clock, ``loaded_at`` (on a
-    fill) with its head's, and under write-back dirties the line if any
-    of its accesses stores. Victim selection ties break identically
-    (first minimum / first invalid way) and misses happen only at
-    heads, so the ``random`` policy draws from the same per-set streams
-    in the same order, and the outcome is bit-identical to both the
-    scalar engine and the lockstep rounds.
+    Each run head is one ``cache.probe`` at the head's own clock value,
+    so victim choice, per-set RNG draws and the write policy are the
+    scalar engine's own. One pass over the head's set then stamps
+    ``last_used`` with the run's last access and, under write-back,
+    dirties the line if the run stores; the followers' hits (and their
+    write-through memory writes) are counted in bulk. Only the lines of
+    probed sets are read or written.
     """
-    config = cache.config
-    assoc = config.associativity
-    write_back = config.write_policy == "write-back"
-    write_allocate = config.write_allocate
-    lru = config.replacement == "lru"
-    fifo = config.replacement == "fifo"
-    rng = cache._set_rng
-    ways = range(assoc)
-
+    from repro.obs.recorder import NULL_RECORDER
     n = len(order)
+    write_back = cache.config.write_policy == "write-back"
     t_s = tags[order]
     st_s = stores[order]
     follows = (sorted_sets[1:] == sorted_sets[:-1]) & (t_s[1:] == t_s[:-1])
-    if not write_allocate:
+    if not cache.config.write_allocate:
         follows &= ~st_s[:-1]
     heads = np.flatnonzero(np.r_[True, ~follows])
     lasts = np.r_[heads[1:], n] - 1
-    # stamps are the scalar clock values: clock0 + 1-based trace position
-    first_stamp = base_clock + 1 + order[heads]
-    last_stamp = base_clock + 1 + order[lasts]
+    head_pos = order[heads]                 # 0-based trace positions
+    base_clock = cache._clock
+    # a run's tail stamp is its last access's clock value; 0 marks a
+    # one-access run, which the head's probe stamps completely
+    tails = np.where(lasts > heads, base_clock + 1 + order[lasts], 0)
     run_dirty = (np.logical_or.reduceat(st_s, heads) if write_back
                  else np.zeros(len(heads), dtype=bool))
 
-    tag_l = tag_a.tolist()
-    valid_l = valid_a.tolist()
-    dirty_l = dirty_a.tolist()
-    used_l = used_a.tolist()
-    loaded_l = loaded_a.tolist()
+    probe = cache.probe
+    sets = cache.sets
     hit_h = []
-    evict_h = []
-    wb_h = []
-    for k, (si, tg, st, first, last, dirty) in enumerate(zip(
-            sorted_sets[heads].tolist(), t_s[heads].tolist(),
-            st_s[heads].tolist(), first_stamp.tolist(),
-            last_stamp.tolist(), run_dirty.tolist())):
-        vs = valid_l[si]
-        ts = tag_l[si]
-        way = -1
-        for w in ways:
-            if vs[w] and ts[w] == tg:
-                way = w
-                break
-        if way >= 0:
-            hit_h.append(k)
-            used_l[si][way] = last
-            if dirty:
-                dirty_l[si][way] = True
-            continue
-        if st and not write_allocate:
-            continue                       # bypassed store miss
-        victim = -1
-        for w in ways:
-            if not vs[w]:
-                victim = w                 # first invalid way
-                break
-        if victim < 0:
-            if lru:
-                u = used_l[si]
-                victim = u.index(min(u))
-            elif fifo:
-                ld = loaded_l[si]
-                victim = ld.index(min(ld))
-            else:
-                victim = rng(si).randrange(assoc)
-            evict_h.append(k)
-            if write_back and dirty_l[si][victim]:
-                wb_h.append(k)
-        ts[victim] = tg
-        vs[victim] = True
-        used_l[si][victim] = last
-        loaded_l[si][victim] = first
-        dirty_l[si][victim] = dirty
-    tag_a[:] = tag_l
-    valid_a[:] = valid_l
-    dirty_a[:] = dirty_l
-    used_a[:] = used_l
-    loaded_a[:] = loaded_l
+    recorder = cache.recorder
+    cache.recorder = NULL_RECORDER      # the caller samples once per batch
+    try:
+        for addr, store, clock, tail, si, tg, dirty in zip(
+                addrs[head_pos].tolist(), st_s[heads].tolist(),
+                (base_clock + head_pos).tolist(), tails.tolist(),
+                sorted_sets[heads].tolist(), t_s[heads].tolist(),
+                run_dirty.tolist()):
+            cache._clock = clock
+            hit_h.append(probe(addr, "store" if store else "load"))
+            if tail:
+                for line in sets[si]:
+                    if line.valid and line.tag == tg:
+                        line.last_used = tail
+                        if dirty:
+                            line.dirty = True
+                        break
+    finally:
+        cache.recorder = recorder
+    cache._clock = base_clock + n
+
     hit_s = np.r_[False, follows]
-    hit_s[heads[hit_h]] = True
+    store_hits = int((hit_s & st_s).sum())
+    stats = cache.stats
+    stats.store_hits += store_hits
+    stats.load_hits += n - len(heads) - store_hits
+    if not write_back:
+        stats.memory_writes += store_hits
+    hit_s[heads] = hit_h
     hitmask[order] = hit_s
-    evict_m[order[heads[evict_h]]] = True
-    wb_m[order[heads[wb_h]]] = True

@@ -1,6 +1,9 @@
 """Unit tests for the assembler lint."""
 
+import pytest
+
 from repro.analysis.asmlint import lint_asm
+from repro.errors import AssemblerError
 from repro.isa import assemble
 
 
@@ -86,6 +89,21 @@ class TestInstructionChecks:
     def test_immediate_destination(self):
         fs = lint_asm(".text\nmain:\n    movl %eax, $5\n    ret\n")
         assert lines_of(fs, "asm-immediate-dest") == [3]
+
+    def test_two_memory_operands(self):
+        """What the assembler rejects as two memory operands, the lint
+        reports; one memory operand is fine."""
+        for src in (".text\nmain:\n    andl (%eax), (%ebx)\n    ret\n",
+                    ".data\ncount:\n    .long 0\n.text\nmain:\n"
+                    "    movl count, 4(%ebp)\n    ret\n"):
+            fs = lint_asm(src)
+            assert [f.kind for f in fs] == ["asm-two-memory"]
+            assert fs[0].severity == "error"
+            with pytest.raises(AssemblerError, match="two memory"):
+                assemble(src)
+        src = ".text\nmain:\n    movl (%eax), %ebx\n    ret\n"
+        assert lint_asm(src) == []
+        assemble(src)
 
     def test_cmpl_immediate_second_operand_ok(self):
         # cmpl only reads both operands; $imm second is the course idiom

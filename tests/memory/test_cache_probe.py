@@ -16,6 +16,7 @@ from repro.memory import Cache, CacheConfig, CacheHierarchy
 from repro.obs import TraceRecorder
 
 from .test_access_many import CONFIGS, TRACES
+from .test_vectorcache import hot_loop_trace
 
 EXTRA_CONFIGS = {
     "write-through-no-allocate": CacheConfig(
@@ -89,19 +90,25 @@ def test_out_of_range_raises_like_access():
 
 
 def test_access_many_keeps_one_sample_per_batch():
-    """access_many loops over probe but still samples once per batch."""
-    config = ALL_CONFIGS["random-4-way-prefetch"]
-    trace = TRACES["mixed_kinds"]
-    batch_rec = recorder()
-    batch = Cache(config, recorder=batch_rec)
-    batch.access_many(trace)
-    samples = [e for e in batch_rec.events() if e.ph == "C"]
-    assert len(samples) == 1
-    assert not [e for e in batch_rec.events() if e.ph == "i"]
-    stepped = Cache(config)
-    stepped.run_trace(trace)
-    assert full_state(batch) == full_state(stepped)
-    assert batch.recorder is batch_rec
+    """Batch paths loop over probe but still sample once per batch."""
+    for config_name, trace, run in (
+            ("random-4-way-prefetch", TRACES["mixed_kinds"],
+             Cache.access_many),
+            # the vectorized engine probes each run head of this
+            # skewed trace, evicting as it goes
+            ("fully-associative-random", hot_loop_trace(400, seed=5),
+             Cache.simulate_trace)):
+        config = ALL_CONFIGS[config_name]
+        batch_rec = recorder()
+        batch = Cache(config, recorder=batch_rec)
+        run(batch, trace)
+        samples = [e for e in batch_rec.events() if e.ph == "C"]
+        assert len(samples) == 1
+        assert not [e for e in batch_rec.events() if e.ph == "i"]
+        stepped = Cache(config)
+        stepped.run_trace(trace)
+        assert full_state(batch) == full_state(stepped)
+        assert batch.recorder is batch_rec
 
 
 HIERARCHIES = {

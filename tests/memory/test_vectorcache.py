@@ -9,12 +9,14 @@ hot-loop traces of long same-line runs.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.errors import CacheConfigError
 from repro.memory import Cache, CacheConfig, vectorcache
+from repro.memory.cache import Line
 from repro.memory.multilevel import CacheHierarchy
 from repro.memory.trace import random_access, stride_sweep
 
@@ -159,6 +161,75 @@ class TestOracleEquivalence:
         cache = Cache(CacheConfig(address_bits=16))
         with pytest.raises(Exception, match="exceeds"):
             cache.simulate_trace([1 << 20])
+        # a skewed trace is validated whole before its first run head
+        # is probed: a bad last address leaves the warmed cache as it was
+        cache = Cache(CacheConfig(num_lines=16, block_size=16,
+                                  associativity=2, address_bits=16))
+        trace = hot_loop_trace(400, seed=3)
+        cache.simulate_trace(trace[:100])
+        before = (cache._clock, replace(cache.stats), set_state(cache))
+        with pytest.raises(CacheConfigError, match="exceeds"):
+            cache.simulate_trace(trace[100:] + [(1 << 20, "load")])
+        assert (cache._clock, cache.stats, set_state(cache)) == before
+
+
+class TestSkewedPath:
+    def test_probes_run_heads_and_touches_only_their_sets(self,
+                                                          monkeypatch):
+        """One ``Cache.probe`` per same-line run; untouched sets unread.
+
+        A hot loop confined to sets 0 and 1 of an 8-set, 2-way cache:
+        code on two lines, a stack slot, and an array sweeping lines
+        that map to the same two sets, so the ways keep evicting.
+        """
+        config = CacheConfig(num_lines=16, block_size=16, associativity=2)
+        trace = []
+        for i in range(150):
+            trace += [(pc, "load") for pc in range(0x100, 0x118, 4)]
+            trace += [(0x184, "load"), (0x184, "store")]
+            line = (i // 4) % 12      # array line: set = line % 2
+            addr = 0x800 + (line // 2) * 0x80 + (line % 2) * 16 + i % 4 * 4
+            trace += [(addr, "store"), (addr, "load")]
+
+        # run heads, counted the scalar way: an access to a set whose
+        # previous access had a different tag (write-allocate config)
+        last_tag, heads = {}, 0
+        for addr, _ in trace:
+            index, tag = (addr >> 4) % 8, addr >> 7
+            heads += last_tag.get(index) != tag
+            last_tag[index] = tag
+
+        class TrippedLine(Line):
+            armed = False
+
+            def __setattr__(self, name, value):
+                if self.armed:
+                    raise AssertionError(f"touched {name}")
+                super().__setattr__(name, value)
+
+        cache = Cache(config)
+        for ways in cache.sets[2:]:
+            ways[:] = [TrippedLine() for _ in ways]
+        TrippedLine.armed = True
+        probes = []
+        probe = Cache.probe
+
+        def counting_probe(self, address, kind="load"):
+            probes.append(address)
+            return probe(self, address, kind)
+
+        monkeypatch.setattr(Cache, "probe", counting_probe)
+        addrs, stores = vectorcache.as_trace_arrays(trace)
+        hitmask = vectorcache.simulate_arrays(cache, addrs, stores)
+        TrippedLine.armed = False
+        monkeypatch.undo()
+
+        assert len(probes) == heads < len(trace) // 2
+        oracle, oracle_hits = scalar_oracle(config, trace)
+        assert hitmask.tolist() == oracle_hits
+        assert cache.stats == oracle.stats
+        assert set_state(cache) == set_state(oracle)
+        assert cache._clock == oracle._clock
 
 
 class TestRandomPolicyStreams:
