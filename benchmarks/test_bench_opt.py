@@ -15,6 +15,10 @@ reverted. The claims, in falsifiability order:
   reports statistics identical to its interpreted run, with stack
   guards elided on the strength of the range analysis.
 
+Each reduction row also records ``optimize_ms``, the host time of the
+``optimize_program`` call itself (all passes, validation included), so
+the optimizer's own cost has a trajectory next to what it saves.
+
 ``E18_N`` scales the loop bound for CI smoke runs (default 120 →
 ~1M dynamic instructions across the workloads; smoke uses ~12).
 Rows land in ``BENCH_analysis.json`` next to the E13 precision/recall
@@ -94,7 +98,10 @@ def test_bench_opt_reduction():
     rows, json_rows = [], []
     best_cut = 0.0
     for name, source in WORKLOADS.items():
-        result = optimize_program(program_from_source(source))
+        program = program_from_source(source)
+        start = time.perf_counter()
+        result = optimize_program(program)
+        optimize_ms = (time.perf_counter() - start) * 1e3
         plain, t_plain = _timed(program_from_source(source), jit=False)
         opted, t_opt = _timed(result.program, jit=False)
 
@@ -108,7 +115,8 @@ def test_bench_opt_reduction():
         best_cut = max(best_cut, cut)
         rows.append((name, plain.instructions, opted.instructions,
                      f"{cut:.1%}", f"{plain.cpi:.2f}", f"{opted.cpi:.2f}",
-                     result.proved_safe, len(result.rejections)))
+                     result.proved_safe, len(result.rejections),
+                     f"{optimize_ms:.1f}"))
         json_rows.append({
             "bench": "opt_reduction", "experiment": "E18",
             "workload": name, "n": N,
@@ -121,12 +129,13 @@ def test_bench_opt_reduction():
             "proved_safe": result.proved_safe,
             "rejections": len(result.rejections),
             "secs_unopt": t_plain, "secs_opt": t_opt,
+            "optimize_ms": optimize_ms,
         })
 
     emit(f"E18: optimizer dynamic-instruction reduction (N={N})",
          ["workload", "unopt", "opt", "cut", "CPI unopt", "CPI opt",
-          "proved safe", "rejected"],
-         rows, align_right=[False] + [True] * 7)
+          "proved safe", "rejected", "optimize ms"],
+         rows, align_right=[False] + [True] * 8)
     emit_json(ANALYSIS_JSON, json_rows)
 
     # the acceptance bar: >=10% off at least one loop-heavy workload

@@ -224,3 +224,74 @@ class TestOptUnderJit:
         assert opted.instructions < plain.instructions
         assert opted.opt and "instructions" in opted.opt["summary"]
         assert plain.opt is None
+
+
+class TestSubRegisters:
+    """A sub-register is a slice of its parent: reading %ax reads
+    %eax, and writing it keeps the rest of %eax. Compiled C never
+    emits them, so these hand-written programs are their only cover."""
+
+    def assert_same_final_state(self, src):
+        program = assemble(src)
+        result = optimize_program(assemble(src))
+        s0, _, regs0, flags0 = run_flat(program)
+        s1, _, regs1, flags1 = run_flat(result.program)
+        regs0.pop("eip")
+        regs1.pop("eip")
+        assert (s1, regs1, flags1) == (s0, regs0, flags0)
+        return result
+
+    def test_sub_register_read_keeps_its_parent_live(self):
+        # eax's 0x12345 reaches `addl %ax, %ebx` in the next block
+        result = self.assert_same_final_state(
+            "main:\n"
+            "  movl $0x12345, %eax\n"
+            "  movl $7, %ebx\n"
+            "  jmp next\n"
+            "next:\n"
+            "  addl %ax, %ebx\n"
+            "  movl %ebx, %eax\n"
+            "  movl $0, %ecx\n"
+            "  movl $0, %edx\n"
+            "  halt\n")
+        kept = [str(i) for i in result.program.instructions]
+        assert "movl $74565, %eax" in kept
+
+    @pytest.mark.parametrize("op", ["movl $1, %ax", "addl $1, %ax",
+                                    "movl $1, %al", "addl $1, %ah"])
+    def test_sub_register_write_in_a_32_bit_op(self, op):
+        result = self.assert_same_final_state(
+            "main:\n"
+            "  movl $0x10000, %eax\n"
+            f"  {op}\n"
+            "  movl %eax, %ebx\n"
+            "  movl $0, %eax\n"
+            "  halt\n")
+        assert result.bailed is None
+
+    def test_threading_a_frozen_blocks_jump_is_checked_not_crashed(self):
+        # jump threading retargets `jmp a` in a frozen block; the
+        # validator cannot model %ax, so it rejects the rewrite
+        result = self.assert_same_final_state(
+            "main:\n"
+            "  movl $5, %ebx\n"
+            "  addl %ax, %ebx\n"
+            "  jmp a\n"
+            "a:\n"
+            "  jmp b\n"
+            "b:\n"
+            "  halt\n")
+        assert result.rejections
+        for rej in result.rejections:      # once per round
+            assert rej.block == 0 and rej.pass_name == "thread_jumps"
+            assert "sub-register %ax" in rej.reason
+
+    def test_blocks_with_sub_register_operands_are_frozen(self):
+        blocks, _ = extract_blocks(assemble(
+            "main:\n"
+            "  movl $1, %ebx\n"
+            "  jmp next\n"
+            "next:\n"
+            "  movl $1, %bx\n"
+            "  halt\n"))
+        assert [b.frozen for b in blocks] == [False, True]
