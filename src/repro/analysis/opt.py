@@ -1538,7 +1538,9 @@ def thread_jumps(blocks: list[OptBlock],
     A *trivial* block is empty (pure fall-through) or a single
     ``jmp``.  Unreachable blocks keep their labels — the label simply
     comes to rest on whatever instruction follows — so every
-    reference stays resolvable.
+    reference stays resolvable.  A frozen block's final jump is left
+    as written: the validator cannot execute such a block, so it
+    would reject every rewrite of it.
     """
     new_blocks = [b.copy() for b in blocks]
     labels = block_index_map(new_blocks)
@@ -1567,8 +1569,7 @@ def thread_jumps(blocks: list[OptBlock],
         if not nb.instrs:
             continue
         last = nb.instrs[-1]
-        m = last.mnemonic
-        if m not in JUMPS:
+        if nb.frozen or last.mnemonic not in JUMPS:
             continue
         t0 = labels.get(last.operands[0].name)
         t = resolve(t0)

@@ -291,10 +291,10 @@ class MMU:
         page numbers and offsets are extracted in one numpy pass, and
         runs of consecutive accesses to the same page — the common case
         for ``from_address_space``-style traces — collapse into a
-        single page walk at the run head plus bulk-accounted TLB hits
-        (:meth:`~repro.vm.tlb.TLB.record_repeat_hits`), so faults batch
-        to one handler invocation per run instead of a per-address
-        Python round trip. Stats, TLB contents and recency order, page
+        single :meth:`translate` at the run head plus bulk-accounted
+        TLB hits (:meth:`~repro.vm.tlb.TLB.record_repeat_hits`), so
+        faults batch to one handler invocation per run instead of a
+        per-address Python round trip. Stats, TLB contents and recency order, page
         tables, frame metadata, and the returned physical addresses are
         all identical to the scalar walk; a :class:`ProtectionFault`
         surfaces at exactly the access where the scalar walk would
@@ -343,9 +343,10 @@ class MMU:
                         frames[i] = self.access(int(vaddrs[i]),
                                                 write=bool(writes[i])).frame
                     continue
-                first = self.access(int(vaddrs[start]),
-                                    write=bool(run_writes[0]))
-                frames[start:end] = first.frame
+                paddr = self.translate(int(vaddrs[start]),
+                                       write=bool(run_writes[0]))[0]
+                frame = paddr >> self._offset_bits
+                frames[start:end] = frame
                 rest = end - start - 1
                 if rest:
                     # the page is now resident and most-recent in the
@@ -354,7 +355,7 @@ class MMU:
                     self.stats.accesses += rest
                     self._clock += rest
                     self.tlb.record_repeat_hits(pid, vpn, rest)
-                    self.physical.touch(first.frame, self._clock)
+                    self.physical.touch(frame, self._clock)
                     entry.referenced = True
                     if bool(run_writes[1:].any()):
                         entry.dirty = True
