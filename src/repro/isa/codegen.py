@@ -6,6 +6,10 @@ source. It has two modes:
 * *Superblock* mode (:mod:`repro.isa.jit`): a straight-line run of
   instructions with registers and flags held in local variables,
   written back on exit, and bus accounting deferred to a pending list.
+  Operand values (immediates, displacements, branch targets, return
+  addresses) are named slots ``K0, K1, ...`` of an argument, not
+  literals, so the text is the block's shape and one compiled shape
+  serves every block that has it.
 * *Handler* mode (:func:`handler`): one instruction as a function
   ``h(m, nxt) -> next_eip``. Registers and flags are read and written
   in place (``m.regs._regs[...]``, ``m.regs.flags.*``), so emission
@@ -99,6 +103,11 @@ class _Writer:
         # flushed before anything that interleaves with or aborts them
         self._frun: list[int] = []
         self.segs: list[tuple[int, int]] = []
+        #: superblock mode: the operand values (immediates,
+        #: displacements, branch targets, return addresses) in emission
+        #: order, passed to ``_make`` as ``K`` so the rendered text
+        #: depends only on the block's shape
+        self.consts: list[int] = []
 
     # -- small helpers ---------------------------------------------------
 
@@ -106,17 +115,28 @@ class _Writer:
         self._t += 1
         return f"{prefix}{self._t}"
 
-    def mark(self) -> tuple[int, int, int, int, int]:
+    def mark(self) -> tuple[int, int, int, int, int, int]:
         return (len(self.body), len(self.addresses),
-                len(self._frun), len(self.segs), self.elided)
+                len(self._frun), len(self.segs), self.elided,
+                len(self.consts))
 
-    def rollback(self, mark: tuple[int, int, int, int, int]) -> None:
+    def rollback(self, mark: tuple[int, int, int, int, int, int]) -> None:
         """Drop everything emitted since ``mark`` (unsupported ins)."""
         del self.body[mark[0]:]
         del self.addresses[mark[1]:]
         del self._frun[mark[2]:]
         del self.segs[mark[3]:]
         self.elided = mark[4]
+        del self.consts[mark[5]:]
+
+    def const(self, value: int) -> str:
+        """An atom for one operand value: the literal in handler mode
+        (handlers are cached per operand form), else the name of its
+        slot in ``K``."""
+        if self.handler:
+            return str(value)
+        self.consts.append(value)
+        return f"K{len(self.consts) - 1}"
 
     def reg(self, name: str) -> str:
         if name not in GP32:
@@ -139,7 +159,7 @@ class _Writer:
         """The fall-through %eip (``nxt`` in handler mode)."""
         if self.handler:
             return "nxt"
-        return str((ins.address + INSTRUCTION_SIZE) & MASK32)
+        return self.const((ins.address + INSTRUCTION_SIZE) & MASK32)
 
     def emit(self, line: str) -> None:
         self.body.append(line)
@@ -152,9 +172,9 @@ class _Writer:
             idx = self.reg(op.index)
             parts.append(idx if op.scale == 1 else f"{idx} * {op.scale}")
         if not parts:
-            return str(op.displacement & MASK32)
+            return self.const(op.displacement & MASK32)
         if op.displacement:
-            parts.insert(0, str(op.displacement))
+            parts.insert(0, self.const(op.displacement))
         return f"({' + '.join(parts)}) & {_M32}"
 
     def _load_lines(self, a: str) -> str:
@@ -209,13 +229,13 @@ class _Writer:
     def read32(self, op) -> str:
         """Emit any load lines; return an atom for the operand's value."""
         if isinstance(op, Immediate):
-            return str(op.value & MASK32)
+            return self.const(op.value & MASK32)
         if isinstance(op, Register):
             return self.reg(op.name)
         if isinstance(op, LabelRef):
             if op.address is None:
                 raise _Unsupported("unresolved label")
-            return str(op.address)
+            return self.const(op.address)
         if isinstance(op, Memory):
             self.flush_fetches()
             a = self.temp("a")
@@ -305,9 +325,9 @@ class _Writer:
             return f"return {target}"
         return f"return ({target}, {executed})"
 
-    def exit_const(self, target: int | str) -> None:
+    def exit_const(self, target: int) -> None:
         """Leave the block for a known address (nothing executed here)."""
-        self.exit_dynamic(str(target))
+        self.exit_dynamic(self.const(target))
 
     def exit_dynamic(self, expr: str) -> None:
         self.flush_fetches()
@@ -437,10 +457,12 @@ class _Writer:
     def _shift(self, m: str, ops) -> None:
         left = m in ("sall", "shll")
         arith = m == "sarl"
-        count = self.read32(ops[0])
+        # an immediate count shapes the code, so it stays a literal
+        imm = isinstance(ops[0], Immediate)
+        count = None if imm else self.read32(ops[0])
         raw = self.read32(ops[1])
         cf = self.flag("cf")
-        if isinstance(ops[0], Immediate):
+        if imm:
             c = (ops[0].value & MASK32) & 0x1F
             if not c:
                 return                 # count 0: flags and dst untouched
@@ -542,7 +564,7 @@ class _Writer:
         """jcc: taken leaves the block, not-taken continues inline."""
         op = ins.operands[0]
         if isinstance(op, LabelRef) and op.address is not None:
-            target = str(op.address)
+            target = self.const(op.address)
         elif isinstance(op, Register) and op.name in GP32:
             target = self.reg(op.name)
         else:
@@ -605,16 +627,19 @@ class _Writer:
     # -- assembly of the module source -----------------------------------
 
     def render(self) -> str:
-        """The superblock module, compiled once per program.
+        """The superblock module, compiled once per block shape.
 
         The ``_make`` factory takes everything machine-specific as
         arguments and closes over the machine's register dict, flag
         object and backing space and the engine's pending list;
-        ``block(m, eng)`` is the compiled body. Every value written to a
-        register local is already masked to 32 bits, so writeback is a
-        plain store. The block returns ``(next_eip, executed)``; the
-        dispatcher replicates run()'s sentinel/masking/step logic."""
-        head = ["def _make(m, eng, A, FT, FA, FS, AS, MachineFault):",
+        ``block(m, eng)`` is the compiled body. The program's operand
+        values arrive as ``K`` too (see :attr:`consts`), so blocks that
+        differ only in constants or addresses render the same text.
+        Every value written to a register local is already masked to
+        32 bits, so writeback is a plain store. The block returns
+        ``(next_eip, executed)``; the dispatcher replicates run()'s
+        sentinel/masking/step logic."""
+        head = ["def _make(m, eng, A, FT, FA, FS, AS, MachineFault, K):",
                 "    regs = m.regs",
                 "    _r = regs._regs",
                 "    flags = regs.flags",
@@ -633,6 +658,9 @@ class _Writer:
                      "    SL = eng.stack_region.size - 4",
                      "    SD = eng.stack_region.data",
                      "    ifb = int.from_bytes"]
+        if self.consts:
+            names = ", ".join(f"K{i}" for i in range(len(self.consts)))
+            head.append(f"    {names}, = K")
         # the machine and the engine are arguments, not closure cells,
         # so a bound block keeps neither alive (no reference cycle)
         head.append("    def block(m, eng):")
