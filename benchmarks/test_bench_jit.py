@@ -147,3 +147,8 @@ int main() {
            f"{jit.tlb['hit_rate']:.1%}", str(jit.vm["page_faults"]),
            f"{t_jit:.2f}")],
          align_right=[False, True, True, True, True, True])
+    emit_json(BENCH_SYSTEM, [{
+        "experiment": "E17", "bus": "virtual",
+        "instructions": jit.instructions,
+        "secs_nojit": round(t_nojit, 4), "secs_jit": round(t_jit, 4),
+    }])

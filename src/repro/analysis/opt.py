@@ -67,7 +67,22 @@ from repro.isa.instructions import (
     Program,
     Register,
 )
-from repro.isa.registers import SUB8, SUB16
+from repro.isa.semantics import (
+    FLAG_NAMES,
+    GP,
+    JCC_READS,
+    SHIFTS,
+    TAKEN,
+    flags_may_written,
+    flags_read,
+    flags_written,
+    fold,
+    has_mem_read,
+    has_mem_write,
+    regs_read,
+    regs_written,
+    sub_parents,
+)
 
 __all__ = [
     "OptBlock", "OptResult", "Rejection", "STACK_HEADROOM",
@@ -86,186 +101,18 @@ STACK_HEADROOM = 4096
 SAFE_LO = -STACK_HEADROOM
 SAFE_HI = 12
 
-GP = ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi")
-FLAG_NAMES = ("zf", "sf", "cf", "of")
-
-#: sub-register name -> the 32-bit register it is a slice of
-PARENT = {**SUB16, **{name: parent for name, (parent, _) in SUB8.items()}}
-
 #: bit of each register and flag in an effect mask (8 + 4 bits)
 BIT = {name: 1 << k for k, name in enumerate(GP + FLAG_NAMES)}
 ALL_BITS = (1 << len(BIT)) - 1
 
 #: mnemonics the symbolic machinery models; byte-ops freeze their block
 BYTE_OPS = frozenset({"movb", "movzbl", "movsbl", "cmpb"})
-_SHIFT_OPS = frozenset({"sall", "shll", "sarl", "shrl"})
-_SETS_ALL_FLAGS = frozenset({"addl", "subl", "cmpl", "cmpb", "imull",
-                             "andl", "orl", "xorl", "testl", "negl"})
-_SETS_NO_CF = frozenset({"incl", "decl"})
 _BLOCK_ENDERS = JUMPS | CALLS | {"ret", "halt"}
-
-#: which flags each conditional jump reads (mirrors machine.py's
-#: _JUMP_CONDITIONS — the verify module pins the agreement)
-JCC_READS = {
-    "je": ("zf",), "jne": ("zf",),
-    "jg": ("zf", "sf", "of"), "jge": ("sf", "of"),
-    "jl": ("sf", "of"), "jle": ("zf", "sf", "of"),
-    "ja": ("cf", "zf"), "jae": ("cf",), "jb": ("cf",),
-    "jbe": ("cf", "zf"), "js": ("sf",), "jns": ("sf",),
-}
 
 
 # ---------------------------------------------------------------------------
 # instruction effect tables
 # ---------------------------------------------------------------------------
-
-def _reg(name: str) -> str:
-    """The 32-bit register behind a register name."""
-    return PARENT.get(name, name)
-
-
-def _mem_regs(op) -> set[str]:
-    regs = set()
-    if isinstance(op, Memory):
-        if op.base:
-            regs.add(_reg(op.base))
-        if op.index:
-            regs.add(_reg(op.index))
-    return regs
-
-
-def _sub_parents(ins: Instruction) -> set[str]:
-    """Parents of the sub-register operands: writing %ax or %al keeps
-    the rest of %eax, so such an operand reads its parent even as a
-    destination, and never kills it."""
-    return {PARENT[op.name] for op in ins.operands
-            if isinstance(op, Register) and op.name in PARENT}
-
-
-def regs_read(ins: Instruction) -> set[str]:
-    """32-bit registers this instruction reads (addresses included;
-    a sub-register operand counts as its parent)."""
-    m, ops = ins.mnemonic, ins.operands
-    r: set[str] = _sub_parents(ins)
-    for op in ops:
-        r |= _mem_regs(op)
-    def src(op):
-        if isinstance(op, Register):
-            r.add(_reg(op.name))
-    if m in ("movl", "movb", "movzbl", "movsbl"):
-        src(ops[0])
-    elif m in ("addl", "subl", "imull", "andl", "orl", "xorl",
-               "cmpl", "testl", "cmpb") or m in _SHIFT_OPS:
-        src(ops[0])
-        src(ops[1])
-    elif m in ("notl", "negl", "incl", "decl", "idivl"):
-        src(ops[0])
-        if m == "idivl":
-            r |= {"eax", "edx"}
-    elif m == "pushl":
-        r.add("esp")
-        src(ops[0])
-    elif m == "popl":
-        r.add("esp")
-    elif m == "cltd":
-        r.add("eax")
-    elif m == "leave":
-        r.add("ebp")
-    elif m == "ret":
-        r.add("esp")
-    elif m in CALLS or m == "jmp":
-        if ops:
-            src(ops[0])
-        if m in CALLS:
-            r.add("esp")
-    return r
-
-
-def regs_written(ins: Instruction) -> set[str]:
-    """32-bit registers this instruction writes (a sub-register
-    destination counts as its parent)."""
-    m, ops = ins.mnemonic, ins.operands
-    if m in ("movl", "movb", "movzbl", "movsbl", "leal", "addl", "subl",
-             "imull", "andl", "orl", "xorl") or m in _SHIFT_OPS:
-        dst = ops[1]
-        return {_reg(dst.name)} if isinstance(dst, Register) else set()
-    if m in ("notl", "negl", "incl", "decl"):
-        return {_reg(ops[0].name)} if isinstance(ops[0], Register) \
-            else set()
-    if m == "idivl":
-        return {"eax", "edx"}
-    if m == "cltd":
-        return {"edx"}
-    if m == "pushl":
-        return {"esp"}
-    if m == "popl":
-        w = {"esp"}
-        if isinstance(ops[0], Register):
-            w.add(_reg(ops[0].name))
-        return w
-    if m == "leave":
-        return {"esp", "ebp"}
-    if m == "ret":
-        return {"esp"}
-    if m in CALLS:
-        return {"esp"}
-    return set()
-
-
-def flags_written(ins: Instruction) -> set[str]:
-    """Flags this instruction *definitely* overwrites."""
-    m = ins.mnemonic
-    if m in _SETS_ALL_FLAGS:
-        return set(FLAG_NAMES)
-    if m in _SETS_NO_CF:
-        return {"zf", "sf", "of"}
-    if m in _SHIFT_OPS:
-        op = ins.operands[0]
-        if isinstance(op, Immediate):
-            return set(FLAG_NAMES) if (op.value & 31) else set()
-        return set()          # dynamic count: may or may not write
-    return set()
-
-
-def flags_may_written(ins: Instruction) -> set[str]:
-    """Flags this instruction *may* overwrite (shifts by a register)."""
-    if ins.mnemonic in _SHIFT_OPS:
-        return set(FLAG_NAMES)
-    return flags_written(ins)
-
-
-def flags_read(ins: Instruction) -> set[str]:
-    return set(JCC_READS.get(ins.mnemonic, ()))
-
-
-def has_mem_write(ins: Instruction) -> bool:
-    """Does this instruction store to memory (explicit or stack)?"""
-    m, ops = ins.mnemonic, ins.operands
-    if m in ("pushl",) or m in CALLS:
-        return True
-    if m in ("movl", "movb", "addl", "subl", "imull", "andl", "orl",
-             "xorl", "notl", "negl", "incl", "decl", "popl") \
-            or m in _SHIFT_OPS:
-        dst = ops[-1] if m != "popl" else ops[0]
-        return isinstance(dst, Memory)
-    return False
-
-
-def has_mem_read(ins: Instruction) -> bool:
-    """Does this instruction load from memory (explicit or stack)?"""
-    m, ops = ins.mnemonic, ins.operands
-    if m in ("popl", "ret", "leave"):
-        return True
-    if m == "leal":
-        return False
-    if m in ("movl", "movb", "movzbl", "movsbl", "pushl", "idivl",
-             "notl", "negl", "incl", "decl"):
-        return isinstance(ops[0], Memory)
-    if m in ("addl", "subl", "imull", "andl", "orl", "xorl", "cmpl",
-             "testl", "cmpb") or m in _SHIFT_OPS:
-        return any(isinstance(o, Memory) for o in ops)
-    return False
-
 
 def _mask(names) -> int:
     out = 0
@@ -296,7 +143,7 @@ class EffectTable:
         if row is None:
             written = _mask(regs_written(ins))
             row = (_mask(regs_read(ins)) | _mask(flags_read(ins)),
-                   (written & ~_mask(_sub_parents(ins)))
+                   (written & ~_mask(sub_parents(ins)))
                    | _mask(flags_written(ins)),
                    written | _mask(flags_may_written(ins)))
             self._rows[id(ins)] = row
@@ -403,8 +250,8 @@ def extract_blocks(program: Program) -> tuple[list[OptBlock], str | None]:
         asm = cfg.blocks[start]
         b = OptBlock(labels=labels_at.get(start, []),
                      instrs=list(asm.instructions))
-        b.frozen = any(i.mnemonic in BYTE_OPS or _sub_parents(i) or
-                       (i.mnemonic in _SHIFT_OPS and
+        b.frozen = any(i.mnemonic in BYTE_OPS or sub_parents(i) or
+                       (i.mnemonic in SHIFTS and
                         not isinstance(i.operands[0], Immediate))
                        for i in b.instrs)
         blocks.append(b)
@@ -880,71 +727,6 @@ def _signed(v: int) -> int:
     return v - (1 << 32) if v & SIGN_BIT else v
 
 
-def _const_flags(m: str, dst: int, src: int) -> dict | None:
-    """Concrete flag values of an ALU op on two known 32-bit values.
-
-    Mirrors the machine's semantics exactly (the validator re-derives
-    the same facts symbolically, so a mistake here is caught)."""
-    dst &= MASK32
-    src &= MASK32
-    if m in ("addl",):
-        wide = dst + src
-        v = wide & MASK32
-        return {"zf": v == 0, "sf": bool(v & SIGN_BIT),
-                "cf": wide > MASK32,
-                "of": bool(~(dst ^ src) & (dst ^ v) & SIGN_BIT)}
-    if m in ("subl", "cmpl"):
-        v = (dst - src) & MASK32
-        return {"zf": v == 0, "sf": bool(v & SIGN_BIT),
-                "cf": dst < src,
-                "of": bool((dst ^ src) & (dst ^ v) & SIGN_BIT)}
-    if m in ("andl", "orl", "xorl", "testl"):
-        v = {"andl": dst & src, "orl": dst | src, "xorl": dst ^ src,
-             "testl": dst & src}[m]
-        return {"zf": v == 0, "sf": bool(v & SIGN_BIT),
-                "cf": False, "of": False}
-    if m == "imull":
-        wide = _signed(dst) * _signed(src)
-        v = wide & MASK32
-        return {"zf": v == 0, "sf": bool(v & SIGN_BIT),
-                "cf": not -SIGN_BIT <= wide <= SIGN_BIT - 1,
-                "of": not -SIGN_BIT <= wide <= SIGN_BIT - 1}
-    return None
-
-
-def _const_alu(m: str, dst: int, src: int) -> int | None:
-    dst &= MASK32
-    src &= MASK32
-    if m == "addl":
-        return (dst + src) & MASK32
-    if m == "subl":
-        return (dst - src) & MASK32
-    if m == "imull":
-        return (_signed(dst) * _signed(src)) & MASK32
-    if m == "andl":
-        return dst & src
-    if m == "orl":
-        return dst | src
-    if m == "xorl":
-        return dst ^ src
-    return None
-
-
-#: conditional-jump predicates over concrete flags — the intra-block
-#: jcc folder; mirrors machine._JUMP_CONDITIONS
-JCC_TAKEN = {
-    "je": lambda f: f["zf"], "jne": lambda f: not f["zf"],
-    "jg": lambda f: not f["zf"] and f["sf"] == f["of"],
-    "jge": lambda f: f["sf"] == f["of"],
-    "jl": lambda f: f["sf"] != f["of"],
-    "jle": lambda f: f["zf"] or f["sf"] != f["of"],
-    "ja": lambda f: not f["cf"] and not f["zf"],
-    "jae": lambda f: not f["cf"], "jb": lambda f: f["cf"],
-    "jbe": lambda f: f["cf"] or f["zf"],
-    "js": lambda f: f["sf"], "jns": lambda f: not f["sf"],
-}
-
-
 def _flags_dead_after(instrs: list, j: int) -> bool:
     """Are all four flags definitely overwritten before any reader,
     looking only at the rest of this block?  (Past the block end we
@@ -1012,9 +794,9 @@ def fold_constants(blocks: list[OptBlock],
             ops = tuple(new_ops)
 
             # resolve a conditional jump whose flags are all known
-            if m in JCC_TAKEN and all(f in flags for f in JCC_READS[m]):
+            if m in TAKEN and all(f in flags for f in JCC_READS[m]):
                 count += 1
-                if JCC_TAKEN[m](flags):
+                if TAKEN[m](flags):
                     out.append(replace(ins, mnemonic="jmp", operands=ops))
                 # not taken: drop it, fall through
                 continue
@@ -1027,9 +809,7 @@ def fold_constants(blocks: list[OptBlock],
                     and ops[1].name not in ("esp", "ebp"):
                 sv, dv = reg_const(ops[0]), consts.get(ops[1].name)
                 if sv is not None and dv is not None:
-                    res = _const_alu(m, dv, sv)
-                    fl = _const_flags(m, dv, sv)
-                    flags = dict(fl)
+                    res, flags = fold(m, dv, sv)
                     consts[ops[1].name] = res
                     if _flags_dead_after(b.instrs, j):
                         out.append(replace(ins, mnemonic="movl",
@@ -1043,7 +823,7 @@ def fold_constants(blocks: list[OptBlock],
                 dv = reg_const(ops[1]) if not isinstance(ops[1], Memory) \
                     else None
                 if sv is not None and dv is not None:
-                    flags = dict(_const_flags(m, dv, sv))
+                    flags = fold(m, dv, sv)[1]
                     folded = True
 
             if changed:

@@ -7,17 +7,20 @@ provably equal.  :func:`repro.analysis.opt.optimize_program` calls it
 after every pass and reverts rejected blocks, so a bug in any
 optimization pass degrades performance, never correctness.
 
-**Trust model.**  The validator shares only small, auditable pieces
-with the optimizer: the instruction effect tables and liveness (so
-"dead" means the same thing on both sides; inside
-:func:`~repro.analysis.opt.optimize_program` one liveness result per
-block list serves both) and the value-range
+**Trust model.**  The validator shares two things with the optimizer:
+the effect tables and liveness (so "dead" means the same thing on both
+sides; inside :func:`~repro.analysis.opt.optimize_program` one
+liveness result per block list serves both), and the value-range
 analysis bounds (``entry_bounds``).  The bounds are used for *fault
 and aliasing* reasoning — proving a dropped access sat inside the
 stack red zone, or that two stack slots are disjoint — never for the
-values the optimizer computed.  Constant folding, copy propagation,
-flag resolution, store forwarding, and control-flow rewrites are all
-re-derived independently from the machine semantics.
+values the optimizer computed.  Concrete results and jump decisions
+come from :mod:`repro.isa.semantics`, not from the optimizer:
+:func:`~repro.isa.semantics.fold` runs the machine's own handler for
+the instruction, and :data:`~repro.isa.semantics.TAKEN` is compiled
+from the same condition text the machine's handlers are.  Copy
+propagation, store forwarding, and control-flow rewrites are
+re-derived independently over symbolic values.
 
 **Equivalence contract.**  For non-faulting executions entered at the
 program entry point, an accepted rewrite preserves: the final value
@@ -43,10 +46,6 @@ from __future__ import annotations
 from repro.analysis.dataflow import Interval
 from repro.analysis.opt import (
     BIT,
-    FLAG_NAMES,
-    GP,
-    JCC_READS,
-    JCC_TAKEN,
     MASK32,
     SAFE_HI,
     SAFE_LO,
@@ -54,7 +53,6 @@ from repro.analysis.opt import (
     EffectTable,
     OptBlock,
     Rejection,
-    _const_flags,
     _signed,
     block_index_map,
     block_succs,
@@ -67,6 +65,16 @@ from repro.isa.instructions import (
     LabelRef,
     Memory,
     Register,
+)
+from repro.isa.semantics import (
+    ADDSUB,
+    FLAG_NAMES,
+    GP,
+    JCC_READS,
+    LOGIC,
+    SHIFTS,
+    TAKEN,
+    fold,
 )
 
 __all__ = ["validate_blocks", "SymState", "Unsupported"]
@@ -130,6 +138,11 @@ def _zf(v):
 def _sf(v):
     c = as_const(v)
     return ("sf", v) if c is None else ("b", int(bool(c & SIGN_BIT)))
+
+
+def _known(flags: dict) -> dict:
+    """Concrete flag values as symbolic ones."""
+    return {f: ("b", int(v)) for f, v in flags.items()}
 
 
 def _stack_interval(e, bounds) -> Interval | None:
@@ -249,10 +262,6 @@ def _exec_block(instrs, labels, index: int, nblocks: int, bounds):
             raise Unsupported(f"unresolvable target {op!r}")
         return labels[op.name]
 
-    def const_flags(kind, dc, sc):
-        fl = _const_flags(kind, dc, sc)
-        return {f: ("b", int(fl[f])) for f in FLAG_NAMES}
-
     outcome = None
     for ins in instrs:
         if outcome is not None:
@@ -265,13 +274,12 @@ def _exec_block(instrs, labels, index: int, nblocks: int, bounds):
             if not isinstance(ops[0], Memory):
                 raise Unsupported("leal from non-memory")
             write(ops[1], ea(ops[0]))
-        elif m in ("addl", "subl", "cmpl"):
+        elif m in ADDSUB:
             s, d = read(ops[0]), read(ops[1])
             v = ladd(d, s) if m == "addl" else lsub(d, s)
             dc, sc = as_const(d), as_const(s)
             if dc is not None and sc is not None:
-                st.flags = const_flags("addl" if m == "addl" else "subl",
-                                       dc, sc)
+                st.flags = _known(fold(m, dc, sc)[1])
             elif m == "addl":
                 x, y = sorted((d, s), key=repr)
                 st.flags = {"zf": _zf(v), "sf": _sf(v),
@@ -285,30 +293,31 @@ def _exec_block(instrs, labels, index: int, nblocks: int, bounds):
             s, d = read(ops[0]), read(ops[1])
             dc, sc = as_const(d), as_const(s)
             if dc is not None and sc is not None:
-                v = lconst(_signed(dc) * _signed(sc))
-                st.flags = const_flags("imull", dc, sc)
+                value, flags = fold(m, dc, sc)
+                v, st.flags = lconst(value), _known(flags)
             else:
                 x, y = sorted((d, s), key=repr)
                 v = latom(("imul", x, y))
                 o = ("ofmul", x, y)
                 st.flags = {"zf": _zf(v), "sf": _sf(v), "cf": o, "of": o}
             write(ops[1], v)
-        elif m in ("andl", "orl", "xorl", "testl"):
+        elif m in LOGIC:
             s, d = read(ops[0]), read(ops[1])
             dc, sc = as_const(d), as_const(s)
             if dc is not None and sc is not None:
-                v = lconst({"andl": dc & sc, "orl": dc | sc,
-                            "xorl": dc ^ sc, "testl": dc & sc}[m])
-            elif d == s:
-                v = lconst(0) if m == "xorl" else d
+                value, flags = fold(m, dc, sc)
+                v, st.flags = lconst(value), _known(flags)
             else:
-                x, y = sorted((d, s), key=repr)
-                v = latom(("bit", "andl" if m == "testl" else m, x, y))
-            st.flags = {"zf": _zf(v), "sf": _sf(v),
-                        "cf": ("b", 0), "of": ("b", 0)}
+                if d == s:
+                    v = lconst(0) if m == "xorl" else d
+                else:
+                    x, y = sorted((d, s), key=repr)
+                    v = latom(("bit", "andl" if m == "testl" else m, x, y))
+                st.flags = {"zf": _zf(v), "sf": _sf(v),
+                            "cf": ("b", 0), "of": ("b", 0)}
             if m != "testl":
                 write(ops[1], v)
-        elif m in ("sall", "shll", "sarl", "shrl"):
+        elif m in SHIFTS:
             if not isinstance(ops[0], Immediate):
                 raise Unsupported("shift by register")
             count = ops[0].value & 0x1F
@@ -316,24 +325,16 @@ def _exec_block(instrs, labels, index: int, nblocks: int, bounds):
                 raw = read(ops[1])
                 rc = as_const(raw)
                 if rc is not None:
-                    if m in ("sall", "shll"):
-                        cf = (rc >> (32 - count)) & 1
-                        v = lconst(rc << count)
-                    elif m == "shrl":
-                        cf = (rc >> (count - 1)) & 1
-                        v = lconst(rc >> count)
-                    else:
-                        cf = (rc >> (count - 1)) & 1
-                        v = lconst(_signed(rc) >> count)
-                    cfe = ("b", cf)
+                    value, flags = fold(m, rc, count)
+                    v, st.flags = lconst(value), _known(flags)
                 else:
                     if m in ("sall", "shll"):
                         v = lmulc(raw, 1 << count)
                     else:
                         v = latom(("shift", m, raw, count))
-                    cfe = ("shcf", m, raw, count)
-                st.flags = {"zf": _zf(v), "sf": _sf(v),
-                            "cf": cfe, "of": ("b", 0)}
+                    st.flags = {"zf": _zf(v), "sf": _sf(v),
+                                "cf": ("shcf", m, raw, count),
+                                "of": ("b", 0)}
                 write(ops[1], v)
         elif m == "notl":
             write(ops[0], lsub(lconst(MASK32), read(ops[0])))
@@ -342,8 +343,7 @@ def _exec_block(instrs, labels, index: int, nblocks: int, bounds):
             v = lneg(raw)
             rc = as_const(raw)
             if rc is not None:
-                st.flags = const_flags("subl", 0, rc)
-                st.flags["cf"] = ("b", int(rc != 0))
+                st.flags = _known(fold(m, rc)[1])
             else:
                 st.flags = {"zf": _zf(v), "sf": _sf(v),
                             "cf": ("nz", raw),
@@ -355,9 +355,7 @@ def _exec_block(instrs, labels, index: int, nblocks: int, bounds):
             v = ladd(x, one) if m == "incl" else lsub(x, one)
             xc = as_const(x)
             if xc is not None:
-                fl = _const_flags("addl" if m == "incl" else "subl", xc, 1)
-                for f in ("zf", "sf", "of"):
-                    st.flags[f] = ("b", int(fl[f]))
+                st.flags.update(_known(fold(m, xc)[1]))
             else:
                 st.flags["zf"] = _zf(v)
                 st.flags["sf"] = _sf(v)
@@ -376,7 +374,7 @@ def _exec_block(instrs, labels, index: int, nblocks: int, bounds):
         elif m == "cltd":
             ec = as_const(R["eax"])
             if ec is not None:
-                R["edx"] = lconst(MASK32 if ec & SIGN_BIT else 0)
+                R["edx"] = lconst(fold(m, ec)[0])
             else:
                 R["edx"] = latom(("cltd", R["eax"]))
         elif m == "pushl":
@@ -393,8 +391,7 @@ def _exec_block(instrs, labels, index: int, nblocks: int, bounds):
             rel = {f: st.flags[f] for f in JCC_READS[m]}
             t = target(ops[0])
             if all(v[0] == "b" for v in rel.values()):
-                taken = JCC_TAKEN[m]({f: bool(v[1])
-                                      for f, v in rel.items()})
+                taken = TAKEN[m]({f: bool(v[1]) for f, v in rel.items()})
                 outcome = ("goto", t) if taken else ("fall",)
             else:
                 cond = ("cond", m,

@@ -35,7 +35,6 @@ partial state on every path.
 from __future__ import annotations
 
 import functools
-import re
 
 from repro.binary.twos_complement import MASK32
 from repro.errors import MachineFault
@@ -48,25 +47,10 @@ from repro.isa.instructions import (
     Register,
 )
 from repro.isa.registers import GP32
+from repro.isa.semantics import ADDSUB, COND_SRC, FLAG_NAME, LOGIC, SHIFTS
 
 _M32 = "4294967295"          # MASK32
 _SIGN = "2147483648"         # 0x8000_0000
-
-#: conditional-jump predicates over the flags zf/sf/cf/of — the codegen
-#: image of machine._JUMP_CONDITIONS
-_COND_SRC = {
-    "je": "zf", "jne": "not zf",
-    "jg": "not zf and sf == of", "jge": "sf == of",
-    "jl": "sf != of", "jle": "zf or sf != of",
-    "ja": "not cf and not zf", "jae": "not cf",
-    "jb": "cf", "jbe": "cf or zf",
-    "js": "sf", "jns": "not sf",
-}
-_FLAG_NAME = re.compile(r"\b[zsco]f\b")
-
-_ARITH2 = {"addl", "subl", "cmpl"}
-_LOGIC = {"andl", "orl", "xorl", "testl"}
-_SHIFTS = {"sall", "shll", "sarl", "shrl"}
 
 
 class _Unsupported(Exception):
@@ -152,8 +136,8 @@ class _Writer:
 
     def cond(self, mnemonic: str) -> str:
         """The jump predicate of ``mnemonic`` over this mode's flags."""
-        return _FLAG_NAME.sub(lambda mo: self.flag(mo.group()),
-                              _COND_SRC[mnemonic])
+        return FLAG_NAME.sub(lambda mo: self.flag(mo.group()),
+                             COND_SRC[mnemonic])
 
     def next_address(self, ins) -> str:
         """The fall-through %eip (``nxt`` in handler mode)."""
@@ -352,7 +336,7 @@ class _Writer:
                 raise _Unsupported("leal needs a memory source")
             self.write32(ops[1], self._ea(ops[0]))
             return
-        if m in _ARITH2:
+        if m in ADDSUB:
             src = self.read32(ops[0])
             dst = self.read32(ops[1])
             v = self.temp("v")
@@ -386,7 +370,7 @@ class _Writer:
             self.flags_from_value(v)
             self.write32(ops[1], v)
             return
-        if m in _LOGIC:
+        if m in LOGIC:
             src = self.read32(ops[0])
             dst = self.read32(ops[1])
             bitop = {"andl": "&", "orl": "|", "xorl": "^", "testl": "&"}[m]
@@ -398,7 +382,7 @@ class _Writer:
             if m != "testl":
                 self.write32(ops[1], v)
             return
-        if m in _SHIFTS:
+        if m in SHIFTS:
             self._shift(m, ops)
             return
         if m == "notl":
@@ -609,7 +593,7 @@ class _Writer:
                 self.exit_const(op.address)
             else:
                 self.jump_indirect(ins)
-        elif m in _COND_SRC:
+        elif m in COND_SRC:
             self.side_exit(ins)
         elif m == "call":
             target = self.call(ins)

@@ -29,28 +29,10 @@ from repro.isa.instructions import (
     Register,
 )
 from repro.isa.registers import RegisterSet
+from repro.isa.semantics import JCC_READS, TAKEN
 
 #: "return address" of the outermost frame; reaching it ends the program
 SENTINEL_RETURN = 0xFFFF_FFF0
-
-
-#: flag predicates for the conditional jumps, as the step-by-step
-#: interpreter reads them (repro.isa.codegen._COND_SRC is their image in
-#: generated code)
-_JUMP_CONDITIONS = {
-    "je": lambda f: f.zf,
-    "jne": lambda f: not f.zf,
-    "jg": lambda f: not f.zf and f.sf == f.of,
-    "jge": lambda f: f.sf == f.of,
-    "jl": lambda f: f.sf != f.of,
-    "jle": lambda f: f.zf or f.sf != f.of,
-    "ja": lambda f: not f.cf and not f.zf,
-    "jae": lambda f: not f.cf,
-    "jb": lambda f: f.cf,
-    "jbe": lambda f: f.cf or f.zf,
-    "js": lambda f: f.sf,
-    "jns": lambda f: not f.sf,
-}
 
 
 def _fell_off(eip: int, steps: int) -> str:
@@ -198,9 +180,6 @@ class Machine:
         f.zf = (value & MASK32) == 0
         f.sf = bool(value & 0x8000_0000)
 
-    def _condition(self, mnemonic: str) -> bool:
-        return _JUMP_CONDITIONS[mnemonic](self.regs.flags)
-
     # -- execution --------------------------------------------------------------------
 
     def step(self) -> Instruction:
@@ -344,9 +323,8 @@ class Machine:
             self.write_operand(ops[0], self.pop())
         elif m == "jmp":
             next_eip = self.read_operand(ops[0])
-        elif m in ("je", "jne", "jg", "jge", "jl", "jle",
-                   "ja", "jae", "jb", "jbe", "js", "jns"):
-            if self._condition(m):
+        elif m in JCC_READS:
+            if TAKEN[m](vars(self.regs.flags)):
                 next_eip = self.read_operand(ops[0])
         elif m == "call":
             self.push(next_eip)

@@ -12,21 +12,23 @@ import pytest
 
 from repro.analysis.opt import (
     BIT,
-    FLAG_NAMES,
-    GP,
     PIPELINE,
     asm_liveness,
     block_index_map,
     block_succs,
     extract_blocks,
-    flags_read,
-    flags_written,
     optimize_program,
-    regs_read,
-    regs_written,
 )
 from repro.isa.assembler import assemble
 from repro.isa.instructions import CALLS
+from repro.isa.semantics import (
+    FLAG_NAMES,
+    GP,
+    flags_read,
+    flags_written,
+    regs_read,
+    regs_written,
+)
 from repro.system.runner import program_from_source
 from tests.analysis.test_opt_golden import CORPUS
 

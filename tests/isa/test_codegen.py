@@ -121,6 +121,7 @@ def test_same_forms_compile_no_new_handlers():
 def test_interpreter_does_not_import_analysis():
     script = (
         "import sys\n"
+        "import repro.isa.semantics\n"
         "from repro.isa.machine import Machine\n"
         "from repro.system.runner import program_from_source\n"
         "m = Machine(program_from_source("
