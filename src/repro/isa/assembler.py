@@ -5,9 +5,9 @@ Accepts the assembly dialect the course reads and writes: ``movl $5,
 ``movl (%eax,%ecx,4), %edx``, labels, jumps, call/ret/leave, and
 comments (``#`` to end of line). Pass one lays out instructions at
 4-byte slots in the text region and collects labels; pass two resolves
-label references and rejects an instruction left with two memory
-operands (``andl (%eax), (%ebx)``, or a data label beside one), which
-IA-32 cannot encode.
+label references. Each instruction's operands are checked against its
+row of the mnemonic table (:func:`~repro.isa.instructions.operand_errors`)
+as it is read, and the first error raises.
 """
 
 from __future__ import annotations
@@ -17,20 +17,19 @@ import re
 from repro.clib.address_space import TEXT_BASE
 from repro.errors import AssemblerError
 from repro.isa.instructions import (
-    ALL_MNEMONICS,
-    ARITH1,
-    ARITH2,
-    CALLS,
+    ALIASES,
     INSTRUCTION_SIZE,
+    MNEMONICS,
+    TARGET,
     Immediate,
     Instruction,
-    JUMPS,
     LabelImmediate,
     LabelRef,
     Memory,
     Operand,
     Program,
     Register,
+    operand_errors,
 )
 from repro.isa.registers import GP32, SUB16, SUB8
 
@@ -193,17 +192,16 @@ def assemble(source: str, *, entry: str = "main",
 
         parts = line.split(None, 1)
         mnemonic = parts[0].lower()
-        if mnemonic == "push":
-            mnemonic = "pushl"
-        elif mnemonic == "pop":
-            mnemonic = "popl"
-        if mnemonic not in ALL_MNEMONICS:
+        mnemonic = ALIASES.get(mnemonic, mnemonic)
+        if mnemonic not in MNEMONICS:
             raise AssemblerError(f"line {lineno}: unknown mnemonic "
                                  f"{mnemonic!r}")
         operand_text = parts[1] if len(parts) > 1 else ""
         operands = tuple(parse_operand(t)
                          for t in _split_operands(operand_text))
-        _check_arity(mnemonic, operands, lineno)
+        errors = operand_errors(mnemonic, operands)
+        if errors:
+            raise AssemblerError(f"line {lineno}: {errors[0][1]}")
 
         ins = Instruction(mnemonic, operands, address=address,
                           source_line=lineno,
@@ -220,7 +218,7 @@ def assemble(source: str, *, entry: str = "main",
     # pass two: resolve label references
     for ins in instructions:
         resolved = []
-        for op in ins.operands:
+        for op, role in zip(ins.operands, MNEMONICS[ins.mnemonic].roles):
             if isinstance(op, (LabelRef, LabelImmediate)):
                 if op.name not in labels:
                     raise AssemblerError(
@@ -229,7 +227,7 @@ def assemble(source: str, *, entry: str = "main",
                 addr = labels[op.name]
                 if isinstance(op, LabelImmediate):
                     resolved.append(Immediate(addr))
-                elif ins.mnemonic in JUMPS | CALLS:
+                elif role == TARGET:
                     resolved.append(LabelRef(op.name, addr))
                 else:
                     # data reference: `movl counter, %eax` loads FROM
@@ -237,35 +235,7 @@ def assemble(source: str, *, entry: str = "main",
                     resolved.append(Memory(displacement=addr))
             else:
                 resolved.append(op)
-        if len(resolved) == 2 and isinstance(resolved[0], Memory) \
-                and isinstance(resolved[1], Memory):
-            # IA-32 encodes at most one memory operand per instruction
-            raise AssemblerError(
-                f"line {ins.source_line}: {ins.mnemonic} cannot take two "
-                f"memory operands")
         ins.operands = tuple(resolved)
 
     return Program(instructions, labels, entry=entry,
                    data_image=bytes(data_image), data_base=data_base)
-
-
-def _check_arity(mnemonic: str, operands: tuple[Operand, ...],
-                 lineno: int) -> None:
-    def fail(msg: str) -> None:
-        raise AssemblerError(f"line {lineno}: {mnemonic} {msg}")
-
-    if mnemonic in ARITH2 and len(operands) != 2:
-        fail("takes two operands")
-    if mnemonic in ARITH1 and len(operands) != 1:
-        fail("takes one operand")
-    if mnemonic in JUMPS | CALLS:
-        if len(operands) != 1:
-            fail("takes one target")
-        if not isinstance(operands[0], (LabelRef, Register)):
-            fail("target must be a label (or register for indirect)")
-    if mnemonic in ("ret", "leave", "nop", "cltd", "halt") and operands:
-        fail("takes no operands")
-    # destination of data-moving two-operand ops cannot be an immediate
-    if mnemonic in ARITH2 and mnemonic not in ("cmpl", "testl"):
-        if isinstance(operands[1], Immediate):
-            fail("destination cannot be an immediate")

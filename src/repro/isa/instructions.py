@@ -11,20 +11,13 @@ this repo's observable unit is the instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import AssemblerError
 
-#: every mnemonic the machine executes, grouped for the assembler
-ARITH2 = {"movl", "addl", "subl", "imull", "andl", "orl", "xorl",
-          "sall", "shll", "sarl", "shrl", "leal", "cmpl", "testl",
-          "movb", "movzbl", "movsbl", "cmpb"}
-ARITH1 = {"notl", "negl", "incl", "decl", "idivl", "pushl", "popl"}
 JUMPS = {"jmp", "je", "jne", "jg", "jge", "jl", "jle",
          "ja", "jae", "jb", "jbe", "js", "jns"}
-ZEROARY = {"ret", "leave", "nop", "cltd", "halt"}
 CALLS = {"call"}
-
-ALL_MNEMONICS = ARITH2 | ARITH1 | JUMPS | ZEROARY | CALLS
 
 #: bytes per instruction slot in the text region
 INSTRUCTION_SIZE = 4
@@ -98,6 +91,101 @@ class LabelImmediate(Operand):
 
     def __str__(self) -> str:
         return f"${self.name}"
+
+
+# ---------------------------------------------------------------------------
+# the mnemonic table
+# ---------------------------------------------------------------------------
+
+#: what an instruction does with one explicit operand
+READ, WRITE, READ_WRITE = "read", "write", "read-write"
+ADDRESS = "address"          # leal: the address is computed, never loaded
+TARGET = "target"            # jumps and calls: a label, or a register
+
+_ESP = frozenset({"esp"})
+
+
+class Mnemonic(NamedTuple):
+    """One row of :data:`MNEMONICS`."""
+    #: the role of each explicit operand; their count is the arity
+    roles: tuple[str, ...] = ()
+    #: 32-bit registers read and written besides the operands
+    reads: frozenset = frozenset()
+    writes: frozenset = frozenset()
+    #: the implicit stack access: "load", "store" or ""
+    stack: str = ""
+    #: the flags written: "all", "all-but-cf", "shift" (all four when
+    #: the count is not 0 mod 32) or ""
+    flags: str = ""
+
+
+#: every mnemonic the machine executes: what it reads and writes.  The
+#: assembler's operand check, the asm lint and the effect functions of
+#: :mod:`repro.isa.semantics` all read this one table.
+MNEMONICS: dict[str, Mnemonic] = {name: row for names, row in (
+    ("movl movb movzbl movsbl", Mnemonic((READ, WRITE))),
+    ("leal", Mnemonic((ADDRESS, WRITE))),
+    ("addl subl imull andl orl xorl",
+     Mnemonic((READ, READ_WRITE), flags="all")),
+    ("sall shll sarl shrl", Mnemonic((READ, READ_WRITE), flags="shift")),
+    ("cmpl testl cmpb", Mnemonic((READ, READ), flags="all")),
+    ("notl", Mnemonic((READ_WRITE,))),
+    ("negl", Mnemonic((READ_WRITE,), flags="all")),
+    ("incl decl", Mnemonic((READ_WRITE,), flags="all-but-cf")),
+    ("idivl", Mnemonic((READ,), frozenset({"eax", "edx"}),
+                       frozenset({"eax", "edx"}))),
+    ("cltd", Mnemonic((), frozenset({"eax"}), frozenset({"edx"}))),
+    ("pushl", Mnemonic((READ,), _ESP, _ESP, "store")),
+    ("popl", Mnemonic((WRITE,), _ESP, _ESP, "load")),
+    (" ".join(sorted(JUMPS)), Mnemonic((TARGET,))),
+    ("call", Mnemonic((TARGET,), _ESP, _ESP, "store")),
+    ("ret", Mnemonic((), _ESP, _ESP, "load")),
+    ("leave", Mnemonic((), frozenset({"ebp"}), frozenset({"esp", "ebp"}),
+                       "load")),
+    ("nop halt", Mnemonic()),
+) for name in names.split()}
+ALL_MNEMONICS = MNEMONICS.keys()
+
+#: AT&T spellings the assembler takes for a table mnemonic
+ALIASES = {"push": "pushl", "pop": "popl"}
+
+_ARITY = {0: "no operands", 1: "one operand", 2: "two operands"}
+
+
+def operand_errors(mnemonic: str, operands: tuple[Operand, ...]
+                   ) -> list[tuple[str, str]]:
+    """Every operand error in one instruction of a known mnemonic, as
+    ``(kind, message)`` pairs, in the order the assembler reports them.
+
+    The kinds are ``arity`` (also a jump or call target that is not a
+    label or register), ``two-memory`` (IA-32 encodes at most one memory
+    operand; a bare data label is one, as the assembler resolves it)
+    and ``immediate-dest`` (an immediate or ``$label`` in a written
+    role).  Operand kinds the machine checks as it executes — a byte op
+    on a 32-bit register, ``movzbl`` to memory — are not errors here.
+    """
+    roles = MNEMONICS[mnemonic].roles
+    errors = []
+    if len(operands) != len(roles):
+        what = "one target" if roles == (TARGET,) else _ARITY[len(roles)]
+        errors.append(("arity", f"{mnemonic} takes {what}"))
+    elif roles == (TARGET,) and not isinstance(operands[0],
+                                               (LabelRef, Register)):
+        errors.append(("arity", f"{mnemonic} target must be a label (or "
+                                "register for indirect)"))
+    if TARGET not in roles and sum(isinstance(op, (Memory, LabelRef))
+                                   for op in operands) > 1:
+        errors.append(("two-memory",
+                       f"{mnemonic} cannot take two memory operands"))
+    if len(operands) == len(roles):
+        which = "destination" if len(roles) == 2 else "operand"
+        for op, role in zip(operands, roles):
+            if role in (WRITE, READ_WRITE) \
+                    and isinstance(op, (Immediate, LabelImmediate)):
+                errors.append(("immediate-dest",
+                               f"{mnemonic} writes its {which}, which "
+                               "cannot be an immediate"))
+    return errors
 
 
 @dataclass

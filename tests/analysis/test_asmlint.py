@@ -1,10 +1,12 @@
 """Unit tests for the assembler lint."""
 
+import itertools
+
 import pytest
 
 from repro.analysis.asmlint import lint_asm
 from repro.errors import AssemblerError
-from repro.isa import assemble
+from repro.isa import assemble, instructions
 
 
 def kinds(findings):
@@ -208,3 +210,61 @@ class TestDeadStore:
                "    movl $2, -4(%ebp)\n"
                "    ret\n")
         assert lines_of(lint_asm(src), "asm-dead-store") == []
+
+    def test_sub_register_write_clears_tracking(self):
+        # %bl is a slice of %ebx, the store's base register
+        src = (".text\nmain:\n"
+               "    movl $1, (%ebx)\n"
+               "    movb $0, %bl\n"
+               "    movl $2, (%ebx)\n"
+               "    ret\n")
+        assert lines_of(lint_asm(src), "asm-dead-store") == []
+
+    def test_data_label_read_clears_tracking(self):
+        # a bare data label is the memory load the assembler makes of it
+        src = (".data\ncount:\n    .long 0\n.text\nmain:\n"
+               "    movl $1, (%ebx)\n"
+               "    movl count, %eax\n"
+               "    movl $2, (%ebx)\n"
+               "    ret\n")
+        assert lines_of(lint_asm(src), "asm-dead-store") == []
+
+
+#: one operand of each kind, spelled per position
+OPERANDS = ("%ecx", "%cl", "%cx", "$7", "(%esi)", "data", "$data", "main",
+            "nowhere")
+
+
+class TestAgreesWithAssembler:
+    @pytest.mark.parametrize("src", [
+        "    incl $3\n", "    popl $3\n", "    movl %eax, $data\n"])
+    def test_immediate_written_is_rejected(self, src):
+        src = f".data\ndata:\n    .long 0\n.text\nmain:\n{src}"
+        assert kinds(lint_asm(src)) == {"asm-immediate-dest"}
+        with pytest.raises(AssemblerError, match="cannot be an immediate"):
+            assemble(src)
+
+    def test_cmpb_immediate_second_operand_ok(self):
+        src = ".text\nmain:\n    cmpb %al, $3\n    ret\n"
+        assert lint_asm(src) == []
+        assemble(src)
+
+    def test_error_finding_iff_assembler_raises(self):
+        """Over every mnemonic (and alias) with zero to two operands of
+        each kind, the lint reports an error exactly when the assembler
+        raises."""
+        mnemonics = sorted(instructions.MNEMONICS) \
+            + sorted(instructions.ALIASES) + ["frobl"]
+        for mnemonic in mnemonics:
+            for n in range(3):
+                for ops in itertools.product(OPERANDS, repeat=n):
+                    src = (".data\ndata:\n    .long 0\n.text\nmain:\n"
+                           f"    {mnemonic} {', '.join(ops)}\n    ret\n")
+                    errors = [f for f in lint_asm(src)
+                              if f.severity == "error"]
+                    try:
+                        assemble(src)
+                    except AssemblerError as exc:
+                        assert errors, f"{src!r}: lint missed {exc}"
+                    else:
+                        assert not errors, f"{src!r}: {errors}"
