@@ -55,6 +55,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.analysis.cfg import build_asm_cfg
 from repro.analysis.dataflow import Interval
+from repro.binary.twos_complement import MASK32, sign32
 from repro.isa.instructions import (
     CALLS,
     INSTRUCTION_SIZE,
@@ -90,9 +91,6 @@ __all__ = [
     "fold_constants", "local_values", "eliminate_dead", "thread_jumps",
     "asm_liveness", "optimize_program",
 ]
-
-MASK32 = 0xFFFF_FFFF
-SIGN_BIT = 0x8000_0000
 
 #: how far below the entry %esp an access may sit and still be "proved
 #: on the stack" — the JIT checks at runtime that the stack region
@@ -722,11 +720,6 @@ class OptContext:
 # pass 1: intra-block constant propagation / folding
 # ---------------------------------------------------------------------------
 
-def _signed(v: int) -> int:
-    v &= MASK32
-    return v - (1 << 32) if v & SIGN_BIT else v
-
-
 def _flags_dead_after(instrs: list, j: int) -> bool:
     """Are all four flags definitely overwritten before any reader,
     looking only at the rest of this block?  (Past the block end we
@@ -949,7 +942,7 @@ def local_values(blocks: list[OptBlock],
                 return None
             if lv[0] == "r0":
                 return (lv, 0)
-            return (lv[1], _signed(lv[2]))
+            return (lv[1], sign32(lv[2]))
 
         def esp_slot(j, delta):
             """Key of the stack slot at current %esp + delta."""
@@ -962,7 +955,7 @@ def local_values(blocks: list[OptBlock],
                 return None
             if lv[0] == "r0":
                 return (lv, 0)
-            return (lv[1], _signed(lv[2]))
+            return (lv[1], sign32(lv[2]))
 
         def note_read(key):
             """A load from ``key`` happened: earlier stores to it are

@@ -46,18 +46,16 @@ from __future__ import annotations
 from repro.analysis.dataflow import Interval
 from repro.analysis.opt import (
     BIT,
-    MASK32,
     SAFE_HI,
     SAFE_LO,
-    SIGN_BIT,
     EffectTable,
     OptBlock,
     Rejection,
-    _signed,
     block_index_map,
-    block_succs,
     live_out_masks,
+    reachable_blocks,
 )
+from repro.binary.twos_complement import MASK32, sign32
 from repro.isa.instructions import (
     CALLS,
     Immediate,
@@ -137,7 +135,7 @@ def _zf(v):
 
 def _sf(v):
     c = as_const(v)
-    return ("sf", v) if c is None else ("b", int(bool(c & SIGN_BIT)))
+    return ("sf", v) if c is None else ("b", int(sign32(c) < 0))
 
 
 def _known(flags: dict) -> dict:
@@ -151,7 +149,7 @@ def _stack_interval(e, bounds) -> Interval | None:
     Provable only when every atom is a block-entry register the range
     analysis bounded and the (signed) coefficients sum to exactly 1 —
     i.e. the expression is one stack pointer plus a bounded offset."""
-    total = Interval.const(_signed(e[2]))
+    total = Interval.const(sign32(e[2]))
     csum = 0
     for atom, k in e[1]:
         if atom[0] != "reg0":
@@ -159,7 +157,7 @@ def _stack_interval(e, bounds) -> Interval | None:
         iv = bounds.get(atom[1])
         if iv is None or iv.is_bottom:
             return None
-        sk = _signed(k)
+        sk = sign32(k)
         csum += sk
         total = total.add(iv.mul_const(sk))
     if csum != 1:
@@ -539,17 +537,6 @@ def _check_block(i, ob, nb, orig, opt, olab, nlab, live, bounds,
     return None
 
 
-def _reachable(blocks, entry, labels) -> set:
-    seen = {entry}
-    work = [entry]
-    while work:
-        for s in block_succs(blocks, work.pop(), labels):
-            if s not in seen:
-                seen.add(s)
-                work.append(s)
-    return seen
-
-
 def validate_blocks(orig: list[OptBlock], opt: list[OptBlock], *,
                     entry_index: int,
                     entry_bounds: dict | None = None) -> list[Rejection]:
@@ -577,7 +564,7 @@ def check_blocks(orig: list[OptBlock], opt: list[OptBlock],
     olab = block_index_map(orig)
     nlab = block_index_map(opt)
     unreachable = set(range(len(orig))) \
-        - _reachable(orig, entry_index, olab)
+        - reachable_blocks(orig, entry_index)
     out = []
     for i, (ob, nb) in enumerate(zip(orig, opt)):
         reason = _check_block(i, ob, nb, orig, opt, olab, nlab,
