@@ -37,6 +37,18 @@ Per-category **policies** bound what always-on tracing costs:
   default for the high-rate counter categories ``ossim``, ``cache``
   and ``vm``.
 
+Every X/i/C event passes one policy gate, whichever route it takes:
+the scalar emitters (``instant`` / ``complete`` / ``counter``) go
+through ``_emit``, the bulk appends through ``_emit_bulk``, and series
+handles pick their class from the policy once, when they are made.
+Sampling has one owner (``_sample``, a per-category sequence shared by
+all three routes) and so does folding (``_fold``, called by the scalar
+gate, the batch gate and the counters-policy series handle).
+:meth:`~TraceRecorder.events` lists folded events in the order their
+slots were made: when a series handle is made, or at the first event
+of an identity that comes by the scalar or bulk route. A bulk append
+makes its names' slots in first-occurrence order, as one scalar emit
+per event would, not in name-id order.
 ``B``/``E`` span events bypass policies so begin/end nesting always
 validates in the Chrome export.
 
@@ -247,20 +259,36 @@ class _SampledSeries(_RingSeries):
         self._n = n
 
     def add(self, ts, dur=1.0, args=None) -> None:
-        if self._rec._take(self._cat, self._n):
+        if self._rec._sample(self._cat, self._n):
             super().add(ts, dur, args)
 
     def hit(self, ts, args=None) -> None:
-        if self._rec._take(self._cat, self._n):
+        if self._rec._sample(self._cat, self._n):
             super().hit(ts, args)
 
     def sample(self, ts, values) -> None:
-        if self._rec._take(self._cat, self._n):
+        if self._rec._sample(self._cat, self._n):
             super().sample(ts, values)
 
 
-class _FoldSpan:
-    """Counters-policy span series: count + total duration, no storage."""
+def _fold(a: list, first, last, n, dur, values=None) -> None:
+    """Fold ``n`` events spanning ``first``..``last`` into a counters slot.
+
+    ``dur`` is their total duration (0 for instants and counter
+    samples); ``values``, for counter samples, replaces the slot's
+    latest values.
+    """
+    if not a[_A_COUNT]:
+        a[_A_FIRST] = first
+    a[_A_LAST] = last
+    a[_A_COUNT] += n
+    a[_A_DUR] += dur
+    if values is not None:
+        a[_A_VALUES] = values
+
+
+class _FoldSeries:
+    """Counters-policy series of any kind: every emit folds, none stores."""
 
     __slots__ = ("_a",)
     wants_args = False
@@ -269,45 +297,20 @@ class _FoldSpan:
         self._a = a
 
     def add(self, ts, dur=1.0, args=None) -> None:
-        a = self._a
-        if not a[2]:
-            a[0] = ts
-        a[1] = ts
-        a[2] += 1
-        a[3] += dur
-
-
-class _FoldInstant:
-    """Counters-policy instant series: a pure occurrence count."""
-
-    __slots__ = ("_a",)
-    wants_args = False
-
-    def __init__(self, a):
-        self._a = a
+        _fold(self._a, ts, ts, 1, dur)
 
     def hit(self, ts, args=None) -> None:
-        a = self._a
-        if not a[2]:
-            a[0] = ts
-        a[1] = ts
-        a[2] += 1
-
-
-class _FoldCounter:
-    """Counters-policy counter series: the latest cumulative values win."""
-
-    __slots__ = ("_a",)
-    wants_args = False
-
-    def __init__(self, a):
-        self._a = a
+        _fold(self._a, ts, ts, 1, 0.0)
 
     def sample(self, ts, values) -> None:
-        a = self._a
-        a[1] = ts
-        a[2] += 1
-        a[4] = values
+        _fold(self._a, ts, ts, 1, 0.0, values)
+
+
+def _cut(keep: slice, nids, ts, dur, avals):
+    """Slice the columns of a bulk append that are arrays, not shared."""
+    return (nids[keep] if isinstance(nids, np.ndarray) else nids, ts[keep],
+            dur[keep] if isinstance(dur, np.ndarray) else dur,
+            None if avals is None else avals[keep])
 
 
 def _check_policy(policy) -> None:
@@ -430,14 +433,19 @@ class TraceRecorder:
         """The effective policy of one category."""
         return self._policies.get(cat, self._default)
 
-    def _take(self, cat, n: int) -> bool:
-        """Advance the category's sample sequence; True → record."""
+    def _sample(self, cat, n: int, k: int = 1) -> range:
+        """Advance ``cat``'s 1-in-``n`` sequence over ``k`` events.
+
+        Returns the offsets (among those ``k``) of the events kept, and
+        counts the rest in :attr:`sampled_out`.
+        """
         seq = self._seq.get(cat, 0)
-        self._seq[cat] = seq + 1
-        if seq % n:
-            self.sampled_out[cat] = self.sampled_out.get(cat, 0) + 1
-            return False
-        return True
+        self._seq[cat] = seq + k
+        kept = range(-seq % n, k, n)
+        if len(kept) < k:
+            self.sampled_out[cat] = self.sampled_out.get(cat, 0) \
+                + k - len(kept)
+        return kept
 
     def _slot(self, code: int, nid: int, tkid: int, cid: int) -> list:
         key = (code, nid, tkid, cid)
@@ -468,28 +476,33 @@ class TraceRecorder:
         else:
             self._overwritten += 1
 
+    def _emit(self, code: int, name: str, ts: float, dur: float,
+              pid: str, tid: str, cat: str | None, obj) -> None:
+        """The scalar gate: one X, i or C event through ``cat``'s policy.
+
+        ``obj`` is the event's args dict (a C event's values).
+        """
+        policy = self._policies.get(cat, self._default)
+        if policy != POLICY_ALL:
+            if policy == POLICY_COUNTERS:
+                _fold(self._slot(code, self.intern(name),
+                                 self.intern_track(pid, tid),
+                                 self._cid(cat)),
+                      ts, ts, 1, dur, obj if code == 4 else None)
+                return
+            if not self._sample(cat, policy):
+                return
+        self._store(code, self.intern(name), self.intern_track(pid, tid),
+                    self._cid(cat), ts, dur,
+                    _ARGS_NONE if obj is None else _ARGS_OBJ, 0, obj)
+
     def instant(self, name: str, *, ts: float | None = None,
                 pid: str = "repro", tid: str = "main",
                 cat: str | None = None,
                 args: dict | None = None) -> None:
         """A point-in-time event (a page fault, a context switch)."""
-        if ts is None:
-            ts = self.now()
-        policy = self._policies.get(cat, self._default)
-        if policy != POLICY_ALL:
-            if policy == POLICY_COUNTERS:
-                a = self._slot(3, self.intern(name),
-                               self.intern_track(pid, tid), self._cid(cat))
-                if not a[2]:
-                    a[0] = ts
-                a[1] = ts
-                a[2] += 1
-                return
-            if not self._take(cat, policy):
-                return
-        self._store(3, self.intern(name), self.intern_track(pid, tid),
-                    self._cid(cat), ts, 0.0,
-                    _ARGS_NONE if args is None else _ARGS_OBJ, 0, args)
+        self._emit(3, name, self.now() if ts is None else ts, 0.0,
+                   pid, tid, cat, args)
 
     def begin(self, name: str, *, ts: float | None = None,
               pid: str = "repro", tid: str = "main",
@@ -517,42 +530,14 @@ class TraceRecorder:
         """A closed span in one event (the bulk of simulator output)."""
         if dur < 0:
             raise ObsError(f"span {name!r} has negative duration {dur}")
-        policy = self._policies.get(cat, self._default)
-        if policy != POLICY_ALL:
-            if policy == POLICY_COUNTERS:
-                a = self._slot(2, self.intern(name),
-                               self.intern_track(pid, tid), self._cid(cat))
-                if not a[2]:
-                    a[0] = ts
-                a[1] = ts
-                a[2] += 1
-                a[3] += dur
-                return
-            if not self._take(cat, policy):
-                return
-        self._store(2, self.intern(name), self.intern_track(pid, tid),
-                    self._cid(cat), ts, dur,
-                    _ARGS_NONE if args is None else _ARGS_OBJ, 0, args)
+        self._emit(2, name, ts, dur, pid, tid, cat, args)
 
     def counter(self, name: str, values: dict[str, float], *,
                 ts: float | None = None, pid: str = "repro",
                 tid: str = "main", cat: str | None = None) -> None:
         """A sampled counter set (hit/miss totals, live heap bytes)."""
-        if ts is None:
-            ts = self.now()
-        policy = self._policies.get(cat, self._default)
-        if policy != POLICY_ALL:
-            if policy == POLICY_COUNTERS:
-                a = self._slot(4, self.intern(name),
-                               self.intern_track(pid, tid), self._cid(cat))
-                a[1] = ts
-                a[2] += 1
-                a[4] = dict(values)
-                return
-            if not self._take(cat, policy):
-                return
-        self._store(4, self.intern(name), self.intern_track(pid, tid),
-                    self._cid(cat), ts, 0.0, _ARGS_OBJ, 0, dict(values))
+        self._emit(4, name, self.now() if ts is None else ts, 0.0,
+                   pid, tid, cat, dict(values))
 
     # -- series handles (pre-resolved hot-path emitters) --------------------
 
@@ -587,13 +572,8 @@ class TraceRecorder:
         cid = self._cid(cat)
         if policy == POLICY_COUNTERS:
             a = self._slot(code, nid, tkid, cid)
-            if code == 2:
-                handle = _FoldSpan(a)
-            elif code == 3:
-                handle = _FoldInstant(a)
-            else:
-                a[5] = keys
-                handle = _FoldCounter(a)
+            a[_A_KEYS] = keys
+            handle = _FoldSeries(a)
         elif policy == POLICY_ALL:
             handle = _RingSeries(self, nid, tkid, cid, args, keys)
         else:
@@ -616,24 +596,10 @@ class TraceRecorder:
         column instead of one Python object per instruction.
         """
         k = len(name_ids)
-        if not k:
-            return
-        policy = self._policies.get(self._cat_of(cat_id), self._default)
-        if policy == POLICY_COUNTERS:
-            self._fold_run(2, name_ids, track_id, cat_id, ts0, dur)
-            return
-        nids = np.asarray(name_ids, dtype=np.int32)
-        ts = ts0 + np.arange(k, dtype=np.float64)
-        avals = None if vals is None else np.asarray(vals, dtype=np.int64)
-        if policy != POLICY_ALL:
-            mask = self._take_run(self._cat_of(cat_id), policy, k)
-            nids, ts = nids[mask], ts[mask]
-            if avals is not None:
-                avals = avals[mask]
-            if not len(ts):
-                return
-        self._bulk(2, nids, ts, dur, track_id, cat_id,
-                   _ARGS_NONE if avals is None else key_id, avals)
+        if k:
+            self._emit_bulk(2, np.asarray(name_ids, dtype=np.int32),
+                            ts0 + np.arange(k, dtype=np.float64), dur,
+                            track_id, cat_id, key_id, vals)
 
     def instant_run(self, name_id: int, ts0: float, *, track_id: int,
                     cat_id: int = -1, key_id: int = -1, vals=None,
@@ -641,27 +607,9 @@ class TraceRecorder:
         """Append ``n`` same-named instants at consecutive timestamps
         (``n`` defaults to ``len(vals)``)."""
         k = len(vals) if n is None else n
-        if not k:
-            return
-        policy = self._policies.get(self._cat_of(cat_id), self._default)
-        if policy == POLICY_COUNTERS:
-            a = self._slot(3, name_id, track_id, cat_id)
-            if not a[2]:
-                a[0] = ts0
-            a[1] = ts0 + k - 1
-            a[2] += k
-            return
-        ts = ts0 + np.arange(k, dtype=np.float64)
-        avals = None if vals is None else np.asarray(vals, dtype=np.int64)
-        if policy != POLICY_ALL:
-            mask = self._take_run(self._cat_of(cat_id), policy, k)
-            ts = ts[mask]
-            if avals is not None:
-                avals = avals[mask]
-            if not len(ts):
-                return
-        self._bulk(3, name_id, ts, 0.0, track_id, cat_id,
-                   _ARGS_NONE if avals is None else key_id, avals)
+        if k:
+            self._emit_bulk(3, name_id, ts0 + np.arange(k, dtype=np.float64),
+                            0.0, track_id, cat_id, key_id, vals)
 
     def complete_batch(self, name_ids, ts, durs, *, track_id: int,
                        cat_id: int = -1, key_id: int = -1,
@@ -672,58 +620,48 @@ class TraceRecorder:
         ``vals`` (usually the per-block instruction counts) as the
         numeric arg.
         """
-        k = len(name_ids)
-        if not k:
-            return
-        policy = self._policies.get(self._cat_of(cat_id), self._default)
+        if len(name_ids):
+            self._emit_bulk(2, np.asarray(name_ids, dtype=np.int32),
+                            np.asarray(ts, dtype=np.float64),
+                            np.asarray(durs, dtype=np.float64),
+                            track_id, cat_id, key_id, vals)
+
+    def _emit_bulk(self, code, nids, ts, dur, tkid, cid, kid, vals) -> None:
+        """The batch gate: ``len(ts)`` X or i events through one policy.
+
+        ``nids`` and ``dur`` are each an array aligned with ``ts`` or
+        one value shared by every event; ``vals`` are the numeric args
+        under key ``kid``, or None.
+        """
+        cat = None if cid < 0 else self._strings[cid]
+        policy = self._policies.get(cat, self._default)
         if policy == POLICY_COUNTERS:
-            for j in range(k):
-                a = self._slot(2, name_ids[j], track_id, cat_id)
-                if not a[2]:
-                    a[0] = ts[j]
-                a[1] = ts[j]
-                a[2] += 1
-                a[3] += durs[j]
+            names = np.broadcast_to(nids, ts.shape)
+            uniq, first, inverse, counts = np.unique(
+                names, return_index=True, return_inverse=True,
+                return_counts=True)
+            last = (len(ts) - 1
+                    - np.unique(names[::-1], return_index=True)[1])
+            durs = np.bincount(inverse,
+                               weights=np.broadcast_to(dur, ts.shape),
+                               minlength=len(uniq))
+            ts_first, ts_last = ts[first].tolist(), ts[last].tolist()
+            uniq, counts, durs = uniq.tolist(), counts.tolist(), durs.tolist()
+            # slots are made in first-occurrence order, as one scalar
+            # emit per event would make them
+            for j in np.argsort(first).tolist():
+                _fold(self._slot(code, uniq[j], tkid, cid), ts_first[j],
+                      ts_last[j], counts[j], durs[j])
             return
-        nids = np.asarray(name_ids, dtype=np.int32)
-        tsa = np.asarray(ts, dtype=np.float64)
-        dura = np.asarray(durs, dtype=np.float64)
         avals = None if vals is None else np.asarray(vals, dtype=np.int64)
         if policy != POLICY_ALL:
-            mask = self._take_run(self._cat_of(cat_id), policy, k)
-            nids, tsa, dura = nids[mask], tsa[mask], dura[mask]
-            if avals is not None:
-                avals = avals[mask]
-            if not len(tsa):
+            kept = self._sample(cat, policy, len(ts))
+            if not kept:
                 return
-        self._bulk(2, nids, tsa, dura, track_id, cat_id,
-                   _ARGS_NONE if avals is None else key_id, avals)
-
-    def _cat_of(self, cat_id: int) -> str | None:
-        return None if cat_id < 0 else self._strings[cat_id]
-
-    def _take_run(self, cat, n: int, k: int) -> np.ndarray:
-        seq = self._seq.get(cat, 0)
-        self._seq[cat] = seq + k
-        mask = (np.arange(seq, seq + k) % n) == 0
-        skipped = k - int(mask.sum())
-        if skipped:
-            self.sampled_out[cat] = self.sampled_out.get(cat, 0) + skipped
-        return mask
-
-    def _fold_run(self, code, name_ids, track_id, cat_id, ts0, dur) -> None:
-        nids = np.asarray(name_ids, dtype=np.int32)
-        uniq, first, counts = np.unique(nids, return_index=True,
-                                        return_counts=True)
-        last = len(nids) - 1 - np.unique(nids[::-1], return_index=True)[1]
-        for nid, f, l, c in zip(uniq.tolist(), first.tolist(),
-                                last.tolist(), counts.tolist()):
-            a = self._slot(code, nid, track_id, cat_id)
-            if not a[2]:
-                a[0] = ts0 + f
-            a[1] = ts0 + l
-            a[2] += c
-            a[3] += c * dur
+            nids, ts, dur, avals = _cut(slice(kept.start, None, policy),
+                                        nids, ts, dur, avals)
+        self._bulk(code, nids, ts, dur, tkid, cid,
+                   _ARGS_NONE if avals is None else kid, avals)
 
     def _bulk(self, code, nids, ts, dur, tkid, cid, akey, avals) -> None:
         """Land ``len(ts)`` rows in the ring with slice assignments."""
@@ -732,14 +670,8 @@ class TraceRecorder:
         if k >= cap:
             # only the newest ``cap`` survive; everything else is dropped
             self._overwritten += self._count + k - cap
-            keep = slice(k - cap, None)
-            ts = ts[keep]
-            if isinstance(nids, np.ndarray):
-                nids = nids[keep]
-            if isinstance(dur, np.ndarray):
-                dur = dur[keep]
-            if avals is not None:
-                avals = avals[keep]
+            nids, ts, dur, avals = _cut(slice(k - cap, None),
+                                        nids, ts, dur, avals)
             self._count = cap
             start = self._head = (self._head + k) % cap
             self._write(code, nids, ts, dur, tkid, cid, akey, avals,
