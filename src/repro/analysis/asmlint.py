@@ -9,9 +9,10 @@ as a :class:`~repro.analysis.report.Finding`:
 * the errors of :func:`~repro.isa.instructions.operand_errors`, which
   checks each instruction against its row of the mnemonic table: arity
   and jump targets, two memory operands in one instruction (a bare data
-  label counts as memory, as the assembler resolves it), and an
-  immediate in a written role;
+  label counts as memory, as the assembler resolves it), an immediate
+  in a written role, and a ``leal`` source that is not memory;
 * duplicate label definitions and references to undefined labels;
+* an instruction (any line but a label or a directive) in ``.data``;
 * unreachable instructions — code after an unconditional ``jmp``,
   ``ret``, or ``halt`` that no label makes addressable again;
 * self-moves (``movl %eax, %eax``) — a no-op that usually means a
@@ -92,8 +93,13 @@ def lint_asm(source: str, path: str = "") -> list[Finding]:
             reported_region = False
             pending.clear()
             continue
-        if section == "data" or line.startswith("."):
-            continue                      # data directives: assembler's job
+        if line.startswith("."):
+            continue                      # directives: assembler's job
+        if section == "data":
+            findings.append(finding(
+                "asm-instruction-in-data", "", lineno,
+                "instructions are not allowed in .data", path=path))
+            continue
 
         parts = line.split(None, 1)
         mnemonic = parts[0].lower()

@@ -38,6 +38,8 @@ KINDS: dict[str, str] = {
     "asm-undefined-label": "error",
     "asm-immediate-dest": "error",
     "asm-two-memory": "error",
+    "asm-address-operand": "error",
+    "asm-instruction-in-data": "error",
     "asm-unreachable": "warning",
     "asm-self-move": "warning",
     "asm-dead-store": "warning",

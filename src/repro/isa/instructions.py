@@ -159,10 +159,12 @@ def operand_errors(mnemonic: str, operands: tuple[Operand, ...]
 
     The kinds are ``arity`` (also a jump or call target that is not a
     label or register), ``two-memory`` (IA-32 encodes at most one memory
-    operand; a bare data label is one, as the assembler resolves it)
-    and ``immediate-dest`` (an immediate or ``$label`` in a written
-    role).  Operand kinds the machine checks as it executes — a byte op
-    on a 32-bit register, ``movzbl`` to memory — are not errors here.
+    operand; a bare data label is one, as the assembler resolves it),
+    ``immediate-dest`` (an immediate or ``$label`` in a written role)
+    and ``address-operand`` (a ``leal`` source that is not memory, so
+    has no address to compute).  Operand kinds the machine checks as it
+    executes — a byte op on a 32-bit register, ``movzbl`` to memory —
+    are not errors here.
     """
     roles = MNEMONICS[mnemonic].roles
     errors = []
@@ -185,6 +187,10 @@ def operand_errors(mnemonic: str, operands: tuple[Operand, ...]
                 errors.append(("immediate-dest",
                                f"{mnemonic} writes its {which}, which "
                                "cannot be an immediate"))
+            elif role == ADDRESS and not isinstance(op, (Memory, LabelRef)):
+                errors.append(("address-operand",
+                               f"{mnemonic} source must be a memory "
+                               "operand"))
     return errors
 
 

@@ -132,6 +132,14 @@ class TestDataSection:
         src = ".data\nvalue:\n    .long 42\n.text\nmain:\n    ret\n"
         assert lint_asm(src) == []
 
+    def test_instruction_in_data_is_an_error(self):
+        src = ".data\nx:\n  movl $1, %eax\n"
+        fs = lint_asm(src)
+        assert lines_of(fs, "asm-instruction-in-data") == [3]
+        assert {f.severity for f in fs} == {"error"}
+        with pytest.raises(AssemblerError, match="not allowed in .data"):
+            assemble(src)
+
 
 class TestSelfMove:
     def test_register_self_move_flagged(self):
@@ -244,6 +252,21 @@ class TestAgreesWithAssembler:
         with pytest.raises(AssemblerError, match="cannot be an immediate"):
             assemble(src)
 
+    @pytest.mark.parametrize("src", [
+        "    leal %ecx, %eax\n", "    leal $3, %eax\n",
+        "    leal $data, %eax\n"])
+    def test_leal_needs_a_memory_source(self, src):
+        src = f".data\ndata:\n    .long 0\n.text\nmain:\n{src}"
+        assert kinds(lint_asm(src)) == {"asm-address-operand"}
+        with pytest.raises(AssemblerError, match="must be a memory"):
+            assemble(src)
+
+    def test_leal_of_a_data_label_ok(self):
+        src = (".data\ndata:\n    .long 0\n.text\nmain:\n"
+               "    leal data, %eax\n    leal 4(%ebx), %eax\n    ret\n")
+        assert lint_asm(src) == []
+        assemble(src)
+
     def test_cmpb_immediate_second_operand_ok(self):
         src = ".text\nmain:\n    cmpb %al, $3\n    ret\n"
         assert lint_asm(src) == []
@@ -268,3 +291,18 @@ class TestAgreesWithAssembler:
                         assert errors, f"{src!r}: lint missed {exc}"
                     else:
                         assert not errors, f"{src!r}: {errors}"
+
+    @pytest.mark.parametrize("src", [
+        ".data\nx:\n  movl $1, %eax\n",
+        ".data\nx:\n  .long 1\n  ret\n.text\nmain:\n  ret\n",
+        ".text\nmain:\n  leal %ecx, %eax\n  ret\n",
+        ".text\nmain:\n  leal (%ecx), %eax\n  ret\n",
+        ".data\nx:\n  .long 1\n.text\nmain:\n  ret\n"])
+    def test_error_finding_iff_assembler_raises_on_programs(self, src):
+        errors = [f for f in lint_asm(src) if f.severity == "error"]
+        try:
+            assemble(src)
+        except AssemblerError as exc:
+            assert errors, f"{src!r}: lint missed {exc}"
+        else:
+            assert not errors, f"{src!r}: {errors}"
