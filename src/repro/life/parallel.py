@@ -40,7 +40,13 @@ from repro.core.machine import (
 from repro.core.partition import GridRegion, partition_grid
 from repro.core.sync import Barrier, Mutex
 from repro.errors import ReproError
-from repro.life.serial import EdgeMode, neighbor_counts, step, step_band
+from repro.life.serial import (
+    EdgeMode,
+    apply_rule,
+    band_neighbor_counts,
+    step,
+    step_band,
+)
 
 #: simulated cycles to compute one cell for one round
 CELL_CYCLES = 1.0
@@ -52,18 +58,16 @@ def step_region(grid: np.ndarray, out: np.ndarray, region: GridRegion,
                 mode: EdgeMode = "torus") -> int:
     """Compute one round for ``region`` into ``out``; returns live count.
 
-    Reads the whole ``grid`` (neighbours cross region boundaries) but
-    writes only its own cells — the Lab 10 kernel.
+    Reads the region's rows plus one halo row each side (neighbours
+    cross region boundaries) but writes only its own cells — the Lab 10
+    kernel.
     """
-    counts = neighbor_counts(grid, mode)[region.row_start:region.row_end,
-                                         region.col_start:region.col_end]
-    band = grid[region.row_start:region.row_end,
-                region.col_start:region.col_end]
-    result = (((band == 0) & (counts == 3))
-              | ((band == 1) & ((counts == 2) | (counts == 3)))
-              ).astype(np.uint8)
-    out[region.row_start:region.row_end,
-        region.col_start:region.col_end] = result
+    rows = slice(region.row_start, region.row_end)
+    cols = slice(region.col_start, region.col_end)
+    counts = band_neighbor_counts(grid, region.row_start, region.row_end,
+                                  mode)[:, cols]
+    result = apply_rule(grid[rows, cols], counts)
+    out[rows, cols] = result
     return int(result.sum())
 
 
@@ -221,12 +225,9 @@ def _run_serial(grid: np.ndarray, rounds: int, mode: EdgeMode) -> np.ndarray:
 
 def _mp_band(args: tuple) -> tuple[int, np.ndarray]:
     grid, row_start, row_end, mode = args
-    counts = neighbor_counts(grid, mode)[row_start:row_end]
-    band = grid[row_start:row_end]
-    result = (((band == 0) & (counts == 3))
-              | ((band == 1) & ((counts == 2) | (counts == 3)))
-              ).astype(np.uint8)
-    return row_start, result
+    return row_start, apply_rule(
+        grid[row_start:row_end],
+        band_neighbor_counts(grid, row_start, row_end, mode))
 
 
 # Top-level so it works under the "spawn" start method too.

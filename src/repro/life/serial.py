@@ -52,6 +52,15 @@ def step(grid: np.ndarray, mode: EdgeMode = "torus") -> np.ndarray:
     return (born | survives).astype(np.uint8)
 
 
+def apply_rule(cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Conway's B3/S23 rule: the next state of ``cells`` given each
+    cell's live-neighbour ``counts`` — the one copy every band and
+    region kernel applies."""
+    return (((cells == 0) & (counts == 3))
+            | ((cells == 1) & ((counts == 2) | (counts == 3)))
+            ).astype(np.uint8)
+
+
 def band_neighbor_counts(grid: np.ndarray, row_start: int, row_end: int,
                          mode: EdgeMode = "torus") -> np.ndarray:
     """Neighbour counts for rows [row_start, row_end) only.
@@ -97,11 +106,9 @@ def step_band(grid: np.ndarray, out: np.ndarray, row_start: int,
     generation: reads the band plus its halo rows from ``grid``, writes
     only its own rows of ``out``, allocates nothing grid-sized.
     """
-    n = band_neighbor_counts(grid, row_start, row_end, mode)
-    band = grid[row_start:row_end]
-    out[row_start:row_end] = (((band == 0) & (n == 3))
-                              | ((band == 1) & ((n == 2) | (n == 3))
-                                 )).astype(np.uint8)
+    out[row_start:row_end] = apply_rule(
+        grid[row_start:row_end],
+        band_neighbor_counts(grid, row_start, row_end, mode))
 
 
 def step_rows(grid: np.ndarray, out: np.ndarray, row_start: int,

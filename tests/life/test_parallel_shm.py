@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core import partition_grid
 from repro.errors import ReproError
 from repro.life import parallel
 from repro.life import (
@@ -50,6 +51,17 @@ class TestBandKernel:
         for lo, hi in [(0, 4), (4, 9), (9, 12)]:
             step_band(grid, out, lo, hi, mode)
         assert grids_equal(out, step(grid, mode))
+
+    @pytest.mark.parametrize("mode", ["torus", "bounded"])
+    @pytest.mark.parametrize("orientation", ["row", "col"])
+    @pytest.mark.parametrize("parts", [1, 3, 14])
+    def test_step_region_matches_step(self, mode, orientation, parts):
+        grid = random_grid(12, 10, seed=5)
+        out = np.zeros_like(grid)
+        live = sum(parallel.step_region(grid, out, region, mode)
+                   for region in partition_grid(12, 10, parts, orientation))
+        assert grids_equal(out, step(grid, mode))
+        assert live == int(out.sum())
 
     def test_validation(self):
         grid = random_grid(8, 8, seed=1)
