@@ -1408,8 +1408,8 @@ def _same_blocks(a: list[OptBlock], b: list[OptBlock]) -> bool:
         for x, y in zip(a, b))
 
 
-def optimize_program(program: Program, *, validate: bool = True,
-                     passes=None, rounds: int = 2) -> OptResult:
+def optimize_program(program: Program, *, passes=None,
+                     rounds: int = 2) -> OptResult:
     """Run the pass pipeline over ``program``; every rewritten block is
     translation-validated against its original and reverted on any
     doubt.  Returns an :class:`OptResult` whose ``program`` behaves
@@ -1435,8 +1435,7 @@ def optimize_program(program: Program, *, validate: bool = True,
         return result
     result.blocks = len(blocks)
 
-    if validate:
-        from repro.analysis.verify import check_blocks
+    from repro.analysis.verify import check_blocks
 
     fx = EffectTable()
     ctx = None
@@ -1449,22 +1448,21 @@ def optimize_program(program: Program, *, validate: bool = True,
             new_blocks, n = passfn(blocks, ctx)
             name = getattr(passfn, "__name__", "pass")
             result.pass_stats[name] = result.pass_stats.get(name, 0) + n
-            if validate:
-                rejs = check_blocks(blocks, new_blocks, entry,
-                                    ctx.entry_env, ctx.live_out(blocks))
-                for r in rejs:
-                    r.pass_name = name
-                result.rejections.extend(rejs)
-                bad = {r.block for r in rejs}
-                merged = []
-                for i in range(len(blocks)):
-                    if i in bad:
-                        keep = blocks[i].copy()
-                        keep.labels = list(new_blocks[i].labels)
-                        merged.append(keep)
-                    else:
-                        merged.append(new_blocks[i])
-                new_blocks = merged
+            rejs = check_blocks(blocks, new_blocks, entry,
+                                ctx.entry_env, ctx.live_out(blocks))
+            for r in rejs:
+                r.pass_name = name
+            result.rejections.extend(rejs)
+            bad = {r.block for r in rejs}
+            merged = []
+            for i in range(len(blocks)):
+                if i in bad:
+                    keep = blocks[i].copy()
+                    keep.labels = list(new_blocks[i].labels)
+                    merged.append(keep)
+                else:
+                    merged.append(new_blocks[i])
+            new_blocks = merged
             if not _same_blocks(blocks, new_blocks):
                 ctx = None              # the facts described the old list
             blocks = new_blocks

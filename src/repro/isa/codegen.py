@@ -59,8 +59,7 @@ class _Unsupported(Exception):
 
 class _Writer:
     def __init__(self, *, record: bool = False, bus: bool = False,
-                 trace: bool = False, fast: bool = False,
-                 safe: frozenset = frozenset(),
+                 trace: bool = False, safe: frozenset = frozenset(),
                  handler: bool = False) -> None:
         self.body: list[str] = []
         self.addresses: list[int] = []
@@ -68,12 +67,9 @@ class _Writer:
         self.record = record
         self.bus = bus
         self.trace = trace
-        self.fast = fast
         #: one-instruction handler mode (see the module docstring)
         self.handler = handler
         self.flags_used = False
-        self.load = "m.space.load_uint" if handler else "load"
-        self.store = "m.space.store_uint" if handler else "store"
         # instruction addresses whose memory accesses the optimizer's
         # range analysis proved inside the stack region — those compile
         # without the bounds compare (watcher check only)
@@ -164,7 +160,8 @@ class _Writer:
     def _load_lines(self, a: str) -> str:
         """Emit a guarded 4-byte load from the address atom ``a``.
 
-        The fast branch reads the stack region's bytearray directly —
+        A handler loads through the machine's space. A superblock's
+        fast branch reads the stack region's bytearray directly —
         sound because the guard proves the access in-bounds in a region
         whose (static) permissions allow it, and the scalar path keeps
         handling everything else: other regions, faults, and any
@@ -175,8 +172,8 @@ class _Writer:
         accesses inside the stack region (``cur_safe``), the bounds
         compare is elided — only the watcher check remains."""
         v = self.temp("v")
-        if not self.fast:
-            self.emit(f"{v} = {self.load}({a}, 4)")
+        if self.handler:
+            self.emit(f"{v} = m.space.load_uint({a}, 4)")
             return v
         o = self.temp("o")
         self.emit(f"{o} = {a} - SB")
@@ -194,8 +191,8 @@ class _Writer:
 
     def _store_lines(self, a: str, value: str) -> None:
         """Emit a guarded 4-byte store (value already masked)."""
-        if not self.fast:
-            self.emit(f"{self.store}({a}, {value}, 4)")
+        if self.handler:
+            self.emit(f"m.space.store_uint({a}, {value}, 4)")
             return
         o = self.temp("o")
         self.emit(f"{o} = {a} - SB")
@@ -636,12 +633,11 @@ class _Writer:
             head.append("    tr = eng.backing.trace.append")
         if self.record and self.trace:
             head.append("    trx = eng.backing.trace.extend")
-        if self.fast:
-            head += ["    W = eng.backing._watchers",
-                     "    SB = eng.stack_region.start",
-                     "    SL = eng.stack_region.size - 4",
-                     "    SD = eng.stack_region.data",
-                     "    ifb = int.from_bytes"]
+        head += ["    W = eng.backing._watchers",
+                 "    SB = eng.stack_region.start",
+                 "    SL = eng.stack_region.size - 4",
+                 "    SD = eng.stack_region.data",
+                 "    ifb = int.from_bytes"]
         if self.consts:
             names = ", ".join(f"K{i}" for i in range(len(self.consts)))
             head.append(f"    {names}, = K")

@@ -59,8 +59,10 @@ constraint, pinned by the differential tests:
   hierarchy always sees the exact scalar access sequence.
 
 The JIT declines work instead of approximating it: byte-width
-instructions, sub-register operands, and unknown space types fall back
-to the interpreter's handlers, one instruction at a time.
+instructions and sub-register operands fall back to the interpreter's
+handlers, one instruction at a time, and a machine whose space type is
+unknown, or has no read-write region holding ``%esp``, is not JIT-run
+at all (see :func:`supports`).
 
 An enabled recorder composes with the JIT instead of disabling it:
 every block execution records one complete-span (``block 0x...`` on
@@ -84,7 +86,7 @@ from repro.clib.address_space import Access, AddressSpace
 from repro.errors import CMemoryError, MachineFault
 from repro.isa.codegen import _Unsupported, _Writer
 from repro.isa.instructions import INSTRUCTION_SIZE
-from repro.isa.machine import SENTINEL_RETURN, _fell_off
+from repro.isa.machine import SENTINEL_RETURN, TRACE_CHUNK, _fell_off
 
 #: interpreter visits to one address before it is compiled
 DEFAULT_THRESHOLD = 8
@@ -97,8 +99,6 @@ MAX_BLOCK = 64
 MAX_CODE = 256
 #: pending bus-accounting entries that force a flush at a block boundary
 FLUSH_LIMIT = 1 << 16
-#: pending trace spans per bulk append when the recorder is enabled
-TRACE_CHUNK = 4096
 
 
 @dataclass
@@ -131,11 +131,8 @@ class CompiledBlock:
 
 
 def _bind(space):
-    """(backing AddressSpace, replay callable or None) for a machine space.
-
-    Returns ``(None, None)`` when the space type is unknown — the
-    machine then declines to JIT and stays on the interpreter.
-    """
+    """(backing AddressSpace, replay callable or None) for a machine space,
+    or ``(None, None)`` when the space type is unknown."""
     if isinstance(space, AddressSpace):
         return space, None
     from repro.system.bus import CachedBus, FlatBus, ProcessView
@@ -144,9 +141,29 @@ def _bind(space):
     return None, None
 
 
-def supports(space) -> bool:
-    """Can the JIT run over this machine's memory?"""
-    return _bind(space)[0] is not None
+def _stack_region(machine):
+    """The read-write region of the machine's backing space that holds
+    ``%esp``, or None (also for an unknown space type)."""
+    backing = _bind(machine.space)[0]
+    if backing is None:
+        return None
+    esp = machine.regs.get("esp")
+    for region in backing.regions:
+        if region.readable and region.writable and region.contains(esp, 1):
+            return region
+    return None
+
+
+def supports(machine) -> bool:
+    """Can the JIT run this machine?
+
+    Its space must be a known type, with a read-write region holding
+    ``%esp``: generated loads and stores shortcut to that region (the
+    stack, where compiled C keeps its locals). Otherwise the machine
+    declines to JIT and stays on the interpreter, with identical
+    results.
+    """
+    return _stack_region(machine) is not None
 
 
 # -- the engine ---------------------------------------------------------------
@@ -212,10 +229,9 @@ class JitEngine:
     reference cycle for the garbage collector.
     """
 
-    def __init__(self, machine, *, threshold: int = DEFAULT_THRESHOLD,
-                 max_block: int = MAX_BLOCK) -> None:
+    def __init__(self, machine, *,
+                 threshold: int = DEFAULT_THRESHOLD) -> None:
         self.threshold = max(1, threshold)
-        self.max_block = max_block
         self.blocks: dict[int, CompiledBlock] = {}
         self.counts: dict[int, int] = {}
         self.failed: set[int] = set()
@@ -224,19 +240,13 @@ class JitEngine:
         self.fault_steps: int | None = None
         self._trace_ids: dict[int, int] | None = None
         self.backing, replay = _bind(machine.space)
-        if self.backing is None:
-            raise MachineFault(
-                f"JIT cannot run over {type(machine.space).__name__}")
         #: the region generated loads/stores shortcut to (the stack,
-        #: where compiled C keeps its locals); None disables the inline
-        #: fast path and every access takes the scalar AddressSpace road
-        self.stack_region = None
+        #: where compiled C keeps its locals)
+        self.stack_region = _stack_region(machine)
+        if self.stack_region is None:
+            raise MachineFault("JIT needs a known space type with a "
+                               "read-write region holding %esp")
         esp = machine.regs.get("esp")
-        for region in self.backing.regions:
-            if region.readable and region.writable \
-                    and region.contains(esp, 1):
-                self.stack_region = region
-                break
         #: instruction addresses whose guards may be elided: only when
         #: the optimizer stamped its proof on the program, the machine
         #: is still at the entry state the proof assumed (step 0, eip at
@@ -244,8 +254,7 @@ class JitEngine:
         #: analysis's safe envelope around the entry %esp
         self.safe: frozenset = frozenset()
         proved = getattr(machine.program, "stack_safe", None)
-        if proved and self.stack_region is not None \
-                and machine.steps == 0 \
+        if proved and machine.steps == 0 \
                 and machine.regs.eip == machine.program.entry_address:
             from repro.analysis.opt import SAFE_HI, SAFE_LO
             region = self.stack_region
@@ -415,16 +424,14 @@ class JitEngine:
         record = m.record_fetches
         bus = self.flush is not None
         trace = self.backing.trace_enabled
-        fast = self.stack_region is not None
-        key = (entry, record, bus, trace, fast, bool(self.safe),
-               self.max_block)
+        key = (entry, record, bus, trace, bool(self.safe))
         try:
             formed = program.jit_blocks[key]
         except KeyError:
             if program.asm_cfg is None:
                 program.asm_cfg = build_asm_cfg(program)
             writer = _Writer(record=record, bus=bus, trace=trace,
-                             fast=fast, safe=self.safe)
+                             safe=self.safe)
             self._form(writer, program.asm_cfg, entry)
             formed = _FormedBlock(writer) if writer.addresses else None
             program.jit_blocks[key] = formed
@@ -452,7 +459,7 @@ class JitEngine:
         seen: set[int] = set()
         addr = entry
         while not writer.closed:
-            if addr in seen or len(writer.addresses) >= self.max_block:
+            if addr in seen or len(writer.addresses) >= MAX_BLOCK:
                 writer.exit_const(addr)        # loop closed / length cap
                 return
             got = cfg.run_from(addr)
@@ -462,7 +469,7 @@ class JitEngine:
             instrs, term, target, fall = got
             plain = instrs if term == "fall" else instrs[:-1]
             for ins in plain:
-                if len(writer.addresses) >= self.max_block:
+                if len(writer.addresses) >= MAX_BLOCK:
                     writer.exit_const(ins.address)
                     return
                 mark = writer.mark()
@@ -477,7 +484,7 @@ class JitEngine:
                 addr = fall
                 continue
             last = instrs[-1]
-            if len(writer.addresses) >= self.max_block:
+            if len(writer.addresses) >= MAX_BLOCK:
                 writer.exit_const(last.address)
                 return
             mark = writer.mark()

@@ -33,6 +33,9 @@ from repro.isa.semantics import JCC_READS, TAKEN
 
 #: "return address" of the outermost frame; reaching it ends the program
 SENTINEL_RETURN = 0xFFFF_FFF0
+#: pending trace events per bulk append in the traced run loops (this
+#: machine's and the JIT's)
+TRACE_CHUNK = 4096
 
 
 def _fell_off(eip: int, steps: int) -> str:
@@ -363,12 +366,13 @@ class Machine:
 
     def _jit(self):
         """This machine's JIT engine, or None when JIT can't apply here
-        (unsupported space type). An enabled recorder no longer falls
+        (unsupported space type, or no read-write region holding
+        ``%esp`` when it first runs). An enabled recorder no longer falls
         back to the interpreter: the engine records one complete-span
         per superblock execution instead of per-instruction spans."""
         if self._jit_engine is None:
             from repro.isa import jit as _jitmod
-            if _jitmod.supports(self.space):
+            if _jitmod.supports(self):
                 self._jit_engine = _jitmod.JitEngine(
                     self, threshold=self.jit_threshold)
             else:
@@ -439,9 +443,6 @@ class Machine:
         finally:
             self.steps = steps
 
-    #: pending per-instruction events per bulk flush in the traced loop
-    TRACE_CHUNK = 4096
-
     def _run_traced(self, max_steps: int, *,
                     raise_on_limit: bool = True) -> None:
         """:meth:`_run_predecoded` with per-instruction span recording.
@@ -450,7 +451,7 @@ class Machine:
         tests pin both). The per-step cost is two list appends: spans
         (and fetch instants, when ``record_fetches``) accumulate in
         plain lists and land in the recorder's structured-array ring in
-        :attr:`TRACE_CHUNK`-sized bulk appends — one numpy slice
+        :data:`TRACE_CHUNK`-sized bulk appends — one numpy slice
         assignment per column instead of one event object per step.
         Flushes happen before any fault instant and on exit, so spans
         keep execution order among themselves, and so do fetch instants;
@@ -473,7 +474,7 @@ class Machine:
                 rec.intern_track("isa", "cpu"), rec.intern("isa"),
                 rec.intern("eip"), rec.intern("fetch") if record else -1)
         _, _, ids, track, cat, eip_key, fetch_id = table
-        chunk = self.TRACE_CHUNK
+        chunk = TRACE_CHUNK
         pending: list[int] = []                      # eips, in step order
         append = pending.append
         steps = self.steps

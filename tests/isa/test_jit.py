@@ -315,6 +315,22 @@ class TestJitMachinery:
         assert machine.regs.get_signed("eax") == sum(i * i for i in range(50))
         assert machine.jit_stats.jit_steps > 0
 
+    def test_no_stack_region_declines_jit(self):
+        # with %esp outside every read-write region the machine stays on
+        # the interpreter, with the interpreter's results
+        source = ("main:\n  movl $6, %ecx\n  movl $0, %eax\nloop:\n"
+                  "  addl %ecx, %eax\n  decl %ecx\n  jne loop\n  halt\n")
+        results = []
+        for jit in (False, True):
+            machine = make_machine("space", assemble(source), jit=jit,
+                                   jit_threshold=1)
+            machine.regs.set("esp", 0)
+            machine.run()
+            results.append(observe(machine, "space"))
+            assert machine.jit_stats is None
+        assert results[0] == results[1]
+        assert results[1]["regs"]["eax"] == 21
+
     def test_unsupported_instructions_fall_back(self):
         # byte ops are interpreter-only; the block fails to compile and
         # the program still runs correctly via the fallback
