@@ -1,4 +1,9 @@
 # Planted defects: one of every assembler-lint finding kind.
+.data
+count:
+    .long 0
+    .long foo        # EXPECT: asm-syntax
+    movl $1, %eax    # EXPECT: asm-instruction-in-data
 .text
 main:
     movl $1, %eax
@@ -7,6 +12,8 @@ main:
 done:
     addl %eax        # EXPECT: asm-arity
     movl %eax, $3    # EXPECT: asm-immediate-dest
+    andl (%eax), count   # EXPECT: asm-two-memory
+    leal %ecx, %eax  # EXPECT: asm-address-operand
     jmp missing      # EXPECT: asm-undefined-label
 done:                # EXPECT: asm-duplicate-label
     frob %eax        # EXPECT: asm-unknown-mnemonic

@@ -17,10 +17,9 @@ memory, :class:`repro.core.race.RaceDetector` and
     deadlocks (acquisition-order cycles) and race candidates, an
     over-approximation of what the dynamic detector can observe;
 ``asmlint``
-    assembler-level lint sharing :mod:`repro.isa.assembler`'s grammar —
-    undefined/duplicate labels, unreachable code after ``jmp``/``ret``,
-    two memory operands, writes to read-only operands, self-moves, dead
-    stores;
+    assembler-level lint over :func:`repro.isa.assembler.scan`, the
+    assembler's own line scanner — every error ``assemble`` raises,
+    unreachable code after ``jmp``/``ret``, self-moves, dead stores;
 ``opt`` / ``verify``
     the translation-validated assembly optimizer: a four-pass pipeline
     (constant folding, local value numbering, liveness-driven dead-code

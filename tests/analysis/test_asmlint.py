@@ -1,8 +1,10 @@
 """Unit tests for the assembler lint."""
 
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.asmlint import lint_asm
 from repro.errors import AssemblerError
@@ -297,7 +299,10 @@ class TestAgreesWithAssembler:
         ".data\nx:\n  .long 1\n  ret\n.text\nmain:\n  ret\n",
         ".text\nmain:\n  leal %ecx, %eax\n  ret\n",
         ".text\nmain:\n  leal (%ecx), %eax\n  ret\n",
-        ".data\nx:\n  .long 1\n.text\nmain:\n  ret\n"])
+        ".data\nx:\n  .long 1\n.text\nmain:\n  ret\n",
+        ".data\nx:\n  .long foo\n.text\nmain:\n  ret\n",
+        ".data\nx:\n  .quad 1\n.text\nmain:\n  ret\n",
+        ".data\nx:\n  .asciz hi\n.text\nmain:\n  ret\n"])
     def test_error_finding_iff_assembler_raises_on_programs(self, src):
         errors = [f for f in lint_asm(src) if f.severity == "error"]
         try:
@@ -306,3 +311,42 @@ class TestAgreesWithAssembler:
             assert errors, f"{src!r}: lint missed {exc}"
         else:
             assert not errors, f"{src!r}: {errors}"
+
+    @pytest.mark.parametrize("directive", [".long foo", ".quad 1",
+                                           ".asciz hi"])
+    def test_malformed_data_directive_is_a_syntax_error(self, directive):
+        src = f".data\nx:\n  {directive}\n.text\nmain:\n  ret\n"
+        assert [(f.line, f.kind) for f in lint_asm(src)] == [(3, "asm-syntax")]
+        with pytest.raises(AssemblerError, match="^line 3: "):
+            assemble(src)
+
+
+#: one source line of each shape a program is drawn from: labels (the
+#: operands also name the undefined ``nowhere``), section switches, data
+#: directives well and badly formed, directives the text section
+#: ignores, and instructions over every mnemonic with OPERANDS
+LINES = st.one_of(
+    st.sampled_from(["main:", "data:", "x:"]),
+    st.sampled_from([".text", ".data"]),
+    st.sampled_from([".long 1", ".long -1, 0x10", ".long foo", ".byte 255",
+                     ".byte", ".space 4", ".space -1", ".space",
+                     '.asciz "hi"', ".asciz hi", '.ascii "a"', ".quad 1"]),
+    st.sampled_from([".globl main", ".align 4", ".type main, @function"]),
+    st.builds(lambda m, ops: f"    {m} {', '.join(ops)}",
+              st.sampled_from(sorted(instructions.MNEMONICS)
+                              + sorted(instructions.ALIASES) + ["frobl"]),
+              st.lists(st.sampled_from(OPERANDS), max_size=2)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(LINES, min_size=1, max_size=12))
+def test_error_finding_iff_assembler_raises_on_drawn_programs(lines):
+    src = "\n".join(lines) + "\n"
+    error_lines = {f.line for f in lint_asm(src) if f.severity == "error"}
+    try:
+        assemble(src)
+    except AssemblerError as exc:
+        named = re.match(r"line (\d+): ", str(exc))
+        assert named and int(named.group(1)) in error_lines, (src, exc)
+    else:
+        assert not error_lines, src

@@ -26,6 +26,8 @@ EXPECTED_KINDS = {
     "asm-unreachable", "asm-arity", "asm-immediate-dest",
     "asm-undefined-label", "asm-duplicate-label",
     "asm-unknown-mnemonic", "asm-self-move", "asm-dead-store",
+    "asm-syntax", "asm-two-memory", "asm-address-operand",
+    "asm-instruction-in-data",
 }
 
 

@@ -125,3 +125,34 @@ class TestAssemble:
         p = assemble("main:\n  movl $1, %eax\n  ret")
         listing = p.listing()
         assert "main:" in listing and "movl $1, %eax" in listing
+
+
+#: every source these tests, the .data tests and the lint's tests hand
+#: the assembler to reject, with the line its error names
+REJECTED = [
+    ("main:\n  jmp nowhere", 2),
+    ("a:\n  nop\na:\n  ret", 3),
+    ("main:\n  frob %eax", 2),
+    ("main:\n  movl %eax", 2),
+    ("main:\n  ret %eax", 2),
+    ("main:\n  movl %eax, $5", 2),
+    ("main:\n  andl (%eax), (%ebx)\n  ret", 2),
+    (".data\nx:\n  .long 1\n.text\nmain:\n  movl x, 4(%esp)\n  ret", 6),
+    ("main:\n  movl %%%, %eax\n  ret", 2),
+    ("main:\n  leal %ecx, %eax\n  ret", 2),
+    ("main:\n  incl $3\n  ret", 2),
+    ("main:\n  movl $zz!, %eax", 2),
+    (".data\nmovl $1, %eax", 2),
+    (".data\nx:\n  .long 1\n  ret\n.text\nmain:\n  ret\n", 4),
+    (".data\n.quad 1", 2),
+    (".data\ns:\n  .asciz hello", 3),
+    (".data\nx:\n  .long foo", 3),
+    (".data\nx:\n.space", 3),
+    (".data\nx:\n.space -1", 3),
+]
+
+
+@pytest.mark.parametrize("src, line", REJECTED)
+def test_every_error_names_its_line(src, line):
+    with pytest.raises(AssemblerError, match=rf"^line {line}: "):
+        assemble(src)

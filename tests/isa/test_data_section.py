@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.asmlint import lint_asm
 from repro.clib.address_space import DATA_BASE
 from repro.errors import AssemblerError
 from repro.isa import Machine, assemble
@@ -55,6 +56,13 @@ class TestDirectives:
     def test_unquoted_string_rejected(self):
         with pytest.raises(AssemblerError):
             assemble(".data\ns:\n  .asciz hello")
+
+    def test_negative_space_rejected(self):
+        # zero bytes would make x alias y
+        src = ".data\nx:\n  .space -1\ny:\n  .long 1\n.text\nmain:\n  ret"
+        with pytest.raises(AssemblerError, match="line 3: .space count"):
+            assemble(src)
+        assert [(f.line, f.kind) for f in lint_asm(src)] == [(3, "asm-syntax")]
 
 
 class TestCodeAccess:
