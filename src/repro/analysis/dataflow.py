@@ -370,6 +370,12 @@ class Interval:
             return Interval.bottom()
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
+    def shift(self, k: int) -> "Interval":
+        """``self.add(Interval.const(k))`` without building the constant."""
+        if self.lo > self.hi:
+            return Interval.bottom()
+        return Interval(self.lo + k, self.hi + k)
+
     def sub(self, other: "Interval") -> "Interval":
         if self.is_bottom or other.is_bottom:
             return Interval.bottom()

@@ -41,7 +41,21 @@ JIT: :func:`optimize_program` stamps ``program.stack_safe`` with the
 addresses of instructions whose every memory access is proved inside
 ``[esp0 - STACK_HEADROOM, esp0 + SAFE_HI]``, and
 :class:`repro.isa.jit.JitEngine` elides the per-access bounds guard
-for exactly those instructions.
+for exactly those instructions.  The facts come from the context of
+the final block list, so the rebuilt program is not analysed again.
+
+Inside one :func:`optimize_program` call every per-block fact is
+computed once per distinct input.  Passes hand back the very block
+object for a block they leave alone, so a block list after a pass
+shares most of its blocks with the list before it.  Each block stores
+what depends on it alone (:class:`OptBlock`): its liveness masks, its
+range transfer for each fixpoint visit (reused when the entry
+environment is equal), its calling-convention check (reused while its
+range facts are the same list) and its last symbolic execution
+(reused at the same index, target and bounds).  Instruction effects
+are computed once per instruction form (:class:`EffectTable`).  All of
+it lives on objects the call creates, and is dropped with them: no
+cache outlives the call.
 
 The optimized program behaves identically *when executed from its
 entry point* — unreachable-from-entry code may be dropped, so don't
@@ -52,6 +66,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import is_
 
 from repro.analysis.cfg import build_asm_cfg
 from repro.analysis.dataflow import Interval
@@ -121,30 +136,39 @@ def _mask(names) -> int:
 
 class EffectTable:
     """Each instruction's register and flag effects as bitmasks (see
-    :data:`BIT`), computed once per instruction object.
+    :data:`BIT`), computed once per instruction form.
 
     ``fx(ins)`` is ``(use, kill, may_kill)``: what the instruction
     reads, what it definitely overwrites, and what it may overwrite.
-    The table is keyed by identity and holds every instruction it has
-    seen, so no id is reused while it lives; one
-    :func:`optimize_program` call owns one table and drops it on
-    return.
+    Rows are found by ``id(ins)`` (``rows``, which callers may read
+    inline), and on a miss by the instruction's form, ``(mnemonic,
+    operands)``: compiled code repeats a few hundred forms over
+    thousands of instruction objects, and hashing a form costs less
+    than deriving its row, but more than an id lookup.  The table
+    holds every instruction it has seen, so no id is reused while it
+    lives.  One :func:`optimize_program` call owns one table and drops
+    it on return.
     """
-    __slots__ = ("_rows", "_held")
+    __slots__ = ("rows", "_forms", "_held")
 
     def __init__(self) -> None:
-        self._rows: dict[int, tuple[int, int, int]] = {}
+        self.rows: dict[int, tuple[int, int, int]] = {}
+        self._forms: dict[tuple, tuple[int, int, int]] = {}
         self._held: list[Instruction] = []
 
     def __call__(self, ins: Instruction) -> tuple[int, int, int]:
-        row = self._rows.get(id(ins))
+        row = self.rows.get(id(ins))
         if row is None:
-            written = _mask(regs_written(ins))
-            row = (_mask(regs_read(ins)) | _mask(flags_read(ins)),
-                   (written & ~_mask(sub_parents(ins)))
-                   | _mask(flags_written(ins)),
-                   written | _mask(flags_may_written(ins)))
-            self._rows[id(ins)] = row
+            form = (ins.mnemonic, ins.operands)
+            row = self._forms.get(form)
+            if row is None:
+                written = _mask(regs_written(ins))
+                row = self._forms[form] = (
+                    _mask(regs_read(ins)) | _mask(flags_read(ins)),
+                    (written & ~_mask(sub_parents(ins)))
+                    | _mask(flags_written(ins)),
+                    written | _mask(flags_may_written(ins)))
+            self.rows[id(ins)] = row
             self._held.append(ins)
         return row
 
@@ -162,13 +186,46 @@ class OptBlock:
     next one.  ``frozen`` blocks contain byte-width operations or
     sub-register operands the symbolic validator doesn't model — passes
     leave them untouched.
+
+    A block is never edited once built: a pass hands back the very
+    object it was given for a block it leaves alone, and builds a new
+    block for one it rewrites.  So facts that depend only on
+    ``instrs`` are stored on the block and reused for as long as the
+    block lives, which is at most one :func:`optimize_program` call:
+
+    * ``gen_kill``: the liveness ``(gen, ~kill)`` masks;
+    * ``ranges``: the range transfer through the block, keyed on
+      ``(fixpoint root, visit number)`` and reused when the entry
+      environment is equal (see :func:`_ranges_fixpoint`), and the
+      calling-convention check of each function it belongs to, keyed
+      on ``("frame", function entry)`` and reused while its facts are
+      the same list (see :func:`_check_function`);
+    * ``sym``: the last symbolic execution of the block, keyed on its
+      index, the block count, its jump target and equal entry bounds
+      (see :func:`repro.analysis.verify.check_blocks`).
+
+    :meth:`copy` returns a block with none of them.
     """
     labels: list[str] = field(default_factory=list)
     instrs: list[Instruction] = field(default_factory=list)
     frozen: bool = False
+    gen_kill: tuple[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    ranges: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    sym: tuple | None = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def copy(self) -> "OptBlock":
         return OptBlock(list(self.labels), list(self.instrs), self.frozen)
+
+    def with_instrs(self, instrs: list[Instruction]) -> "OptBlock":
+        """This block if ``instrs`` are its own instruction objects in
+        order, else a new block with them."""
+        if len(instrs) == len(self.instrs) \
+                and all(map(is_, instrs, self.instrs)):
+            return self
+        return OptBlock(list(self.labels), instrs, self.frozen)
 
 
 @dataclass
@@ -311,105 +368,114 @@ def rebuild(blocks: list[OptBlock], program: Program) -> Program:
     base = program.instructions[0].address
     old_end = program.instructions[-1].address + INSTRUCTION_SIZE
     new_labels: dict[str, int] = {}
-    new_instrs: list[Instruction] = []
     addr = base
     for b in blocks:
         for name in b.labels:
             new_labels[name] = addr
-        for k, ins in enumerate(b.instrs):
-            name = b.labels[0] if k == 0 and b.labels else None
-            new_instrs.append(replace(ins, address=addr, label=name))
-            addr += INSTRUCTION_SIZE
+        addr += INSTRUCTION_SIZE * len(b.instrs)
     new_end = addr
     for name, old in program.labels.items():
         if name in new_labels:
             continue
         new_labels[name] = new_end if old == old_end else old
     resolved = []
-    for ins in new_instrs:
-        ops = tuple(
-            type(op)(op.name, new_labels.get(op.name, op.address))
-            if isinstance(op, (LabelRef, LabelImmediate)) else op
-            for op in ins.operands)
-        resolved.append(replace(ins, operands=ops))
-    out = Program(instructions=resolved, labels=new_labels,
-                  entry=program.entry, data_image=program.data_image,
-                  data_base=program.data_base)
-    return out
+    addr = base
+    for b in blocks:
+        label = b.labels[0] if b.labels else None
+        for ins in b.instrs:
+            ops = ins.operands
+            if any(isinstance(op, (LabelRef, LabelImmediate)) for op in ops):
+                ops = tuple(
+                    type(op)(op.name, new_labels.get(op.name, op.address))
+                    if isinstance(op, (LabelRef, LabelImmediate)) else op
+                    for op in ops)
+            resolved.append(Instruction(ins.mnemonic, ops, addr,
+                                        ins.source_line, label))
+            label = None
+            addr += INSTRUCTION_SIZE
+    return Program(instructions=resolved, labels=new_labels,
+                   entry=program.entry, data_image=program.data_image,
+                   data_base=program.data_base)
 
 
 # ---------------------------------------------------------------------------
 # value-range analysis: which registers are entry-%esp + [lo, hi]?
 # ---------------------------------------------------------------------------
 
-def _range_transfer(ins: Instruction, env: dict) -> dict:
-    """One instruction over the esp-relative interval environment."""
-    m, ops = ins.mnemonic, ins.operands
-    env = dict(env)
-
-    def drop_written():
-        for r in regs_written(ins):
-            env.pop(r, None)
-
-    if m == "movl" and isinstance(ops[1], Register):
-        src = ops[0]
-        if isinstance(src, Register) and src.name in env:
-            env[ops[1].name] = env[src.name]
-        else:
-            env.pop(ops[1].name, None)
+def _without(env: dict, reg: str) -> dict:
+    """``env`` less ``reg``; ``env`` itself when it has no ``reg``."""
+    if reg not in env:
         return env
+    out = dict(env)
+    del out[reg]
+    return out
+
+
+def _range_transfer(ins: Instruction, env: dict) -> dict:
+    """One instruction over the esp-relative interval environment.
+
+    Environments are shared, never edited: the result is ``env``
+    itself when the instruction leaves every fact as it was, else a
+    new dict."""
+    m, ops = ins.mnemonic, ins.operands
+    if m == "movl":
+        if not isinstance(ops[1], Register):
+            return env                  # a store writes no register
+        src, dst = ops[0], ops[1].name
+        if isinstance(src, Register) and src.name in env:
+            return {**env, dst: env[src.name]}
+        return _without(env, dst)
     if m == "leal" and isinstance(ops[0], Memory):
         mem = ops[0]
         if mem.base in env and mem.index is None:
-            env[ops[1].name] = env[mem.base].add(
-                Interval.const(mem.displacement))
-        else:
-            env.pop(ops[1].name, None)
-        return env
+            return {**env, ops[1].name: env[mem.base].shift(mem.displacement)}
+        return _without(env, ops[1].name)
     if m in ("addl", "subl") and isinstance(ops[1], Register) \
             and isinstance(ops[0], Immediate):
         r = ops[1].name
-        if r in env:
-            k = Interval.const(ops[0].value)
-            env[r] = env[r].add(k) if m == "addl" else env[r].sub(k)
-        return env
+        if r not in env:
+            return env
+        k = ops[0].value
+        return {**env, r: env[r].shift(k if m == "addl" else -k)}
     if m in ("incl", "decl") and isinstance(ops[0], Register):
         r = ops[0].name
-        if r in env:
-            env[r] = env[r].add(Interval.const(1 if m == "incl" else -1))
-        return env
+        if r not in env:
+            return env
+        return {**env, r: env[r].shift(1 if m == "incl" else -1)}
     if m == "pushl":
-        if "esp" in env:
-            env["esp"] = env["esp"].add(Interval.const(-4))
-        return env
+        if "esp" not in env:
+            return env
+        return {**env, "esp": env["esp"].shift(-4)}
     if m == "popl":
-        if isinstance(ops[0], Register):
-            env.pop(ops[0].name, None)
-        if "esp" in env and not (isinstance(ops[0], Register)
-                                 and ops[0].name == "esp"):
-            env["esp"] = env["esp"].add(Interval.const(4))
+        dst = ops[0].name if isinstance(ops[0], Register) else None
+        if dst is not None:
+            env = _without(env, dst)
+        if "esp" in env and dst != "esp":
+            env = {**env, "esp": env["esp"].shift(4)}
         return env
     if m == "ret":
-        if "esp" in env:
-            env["esp"] = env["esp"].add(Interval.const(4))
-        return env
+        if "esp" not in env:
+            return env
+        return {**env, "esp": env["esp"].shift(4)}
     if m == "leave":
-        ebp = env.get("ebp")
-        env.pop("ebp", None)
+        out = dict(env)
+        ebp = out.pop("ebp", None)
         if ebp is not None:
-            env["esp"] = ebp.add(Interval.const(4))
+            out["esp"] = ebp.shift(4)
         else:
-            env.pop("esp", None)
-        return env
-    drop_written()
+            out.pop("esp", None)
+        return out
+    for r in regs_written(ins):
+        env = _without(env, r)
     return env
 
 
 def _range_meet(a: dict, b: dict) -> dict:
     out = {}
-    for r in a:
-        if r in b:
-            out[r] = a[r].join(b[r])
+    for r, iv in a.items():
+        other = b.get(r)
+        if other is not None:
+            out[r] = iv if iv is other else iv.join(other)
     return out
 
 
@@ -428,7 +494,7 @@ def _access_intervals(ins: Instruction, env: dict) -> list | None:
         base = env.get(op.base)
         if base is None:
             return None
-        return base.add(Interval.const(op.displacement))
+        return base.shift(op.displacement)
 
     for op in ops:
         if isinstance(op, Memory) and m != "leal":
@@ -440,7 +506,7 @@ def _access_intervals(ins: Instruction, env: dict) -> list | None:
     if m == "pushl" or m in CALLS:
         if esp is None:
             return None
-        out.append(esp.add(Interval.const(-4)))
+        out.append(esp.shift(-4))
     elif m in ("popl", "ret"):
         if esp is None:
             return None
@@ -457,6 +523,16 @@ def _access_intervals(ins: Instruction, env: dict) -> list | None:
 _NO_EFFECT = {"balanced": False, "preserves_ebp": False}
 
 
+def _block_ranges(instrs: list, env: dict) -> tuple[list, dict]:
+    """``(facts, out)``: the environment before each instruction, and
+    after the last, running ``instrs`` from ``env``."""
+    facts = []
+    for ins in instrs:
+        facts.append(env)
+        env = _range_transfer(ins, env)
+    return facts, env
+
+
 def _ranges_fixpoint(blocks: list[OptBlock], labels: dict, entry: int,
                      init_env: dict, effects: dict, wanted):
     """Worklist interval analysis from ``entry`` with ``init_env``.
@@ -465,44 +541,51 @@ def _ranges_fixpoint(blocks: list[OptBlock], labels: dict, entry: int,
     :func:`function_effects`) decides what survives a ``call``: the
     fall-through keeps ``esp`` across provably balanced callees and
     ``ebp`` across callees proved to preserve it, else starts unknown.
-    Returns ``(at, entry_env)`` for the blocks in ``wanted`` (a set or
-    range) only.  The worklist is FIFO: widening after 8 visits depends
-    on the order.  A block's last visit starts from its final entry
-    environment, so the environments that visit passes through are
-    its ``at`` facts.
+    Returns ``(at, entry_env)``, two lists by block index, filled for
+    the blocks in ``wanted`` (a set or range) only: ``at[i]`` holds the
+    environment before each instruction of block ``i``.  The worklist
+    is FIFO: widening after 8 merges depends on the order.  A block's
+    last visit starts from its final entry environment, so the
+    environments that visit passes through are its ``at`` facts.
+
+    The transfer through a block is stored in its ``ranges`` under
+    ``(entry, visit number)``.  A later fixpoint over a block list that
+    still holds the block reuses it when the entry environment at that
+    visit is equal, which is the common case for every block a pass
+    did not rewrite.
     """
     n = len(blocks)
     envs: list[dict | None] = [None] * n        # None = unvisited
-    envs[entry] = dict(init_env)
+    envs[entry] = init_env
+    merges = [0] * n
     visits = [0] * n
-    seen_at: dict[int, list] = {}               # block -> last visit's
+    last_facts: list[list | None] = [None] * n
     work = deque([entry])
     while work:
         i = work.popleft()
         env = envs[i]
-        if env is None:
-            continue
-        out = dict(env)
-        before_last = out
-        term = None
-        facts: list | None = None
-        if i in wanted:
-            facts = seen_at[i] = []
-        for ins in blocks[i].instrs:
-            before_last = out
-            if facts is not None:
-                facts.append(out)
-            out = _range_transfer(ins, out)
-            term = ins.mnemonic
+        b = blocks[i]
+        key = (entry, visits[i])
+        visits[i] += 1
+        memo = b.ranges.get(key)
+        if memo is not None and memo[0] == env:
+            facts, out = memo[1], memo[2]
+        else:
+            facts, out = _block_ranges(b.instrs, env)
+            b.ranges[key] = (env, facts, out)
+        last_facts[i] = facts
         succ_envs: list[tuple[int, dict]] = []
-        last = blocks[i].instrs[-1] if blocks[i].instrs else None
-        if last is not None and term in CALLS:
-            t = labels.get(last.operands[0].name)
+        term = b.instrs[-1].mnemonic if b.instrs else None
+        target = b.instrs[-1].operands[0] \
+            if term in CALLS or term in JUMPS else None
+        if term in CALLS:
+            t = labels.get(target.name)
+            before_last = facts[-1]
             callee = {}
             if "esp" in before_last:
                 # the call pushes its return address before the callee
                 # sees %esp
-                callee["esp"] = before_last["esp"].add(Interval.const(-4))
+                callee["esp"] = before_last["esp"].shift(-4)
             if "ebp" in before_last:
                 callee["ebp"] = before_last["ebp"]
             if t is not None:
@@ -515,48 +598,37 @@ def _ranges_fixpoint(blocks: list[OptBlock], labels: dict, entry: int,
                 if ce["preserves_ebp"] and "ebp" in before_last:
                     fall_env["ebp"] = before_last["ebp"]
                 succ_envs.append((i + 1, fall_env))
-        elif last is not None and term == "jmp":
-            t = labels.get(last.operands[0].name)
+        elif term in JUMPS:
+            t = labels.get(target.name)
             if t is not None:
                 succ_envs.append((t, out))
-        elif last is not None and term in JUMPS:
-            t = labels.get(last.operands[0].name)
-            if t is not None:
-                succ_envs.append((t, out))
-            if i + 1 < n:
+            if term != "jmp" and i + 1 < n:
                 succ_envs.append((i + 1, out))
-        elif last is not None and term in ("ret", "halt"):
-            pass
-        else:
-            if i + 1 < n:
-                succ_envs.append((i + 1, out))
+        elif term not in ("ret", "halt") and i + 1 < n:
+            succ_envs.append((i + 1, out))
         for s, e in succ_envs:
-            if envs[s] is None:
-                envs[s] = dict(e)
+            cur = envs[s]
+            if cur is None:
+                envs[s] = e
                 work.append(s)
                 continue
-            merged = _range_meet(envs[s], e)
-            visits[s] += 1
-            if visits[s] > 8:
-                merged = {r: envs[s][r].widen(merged[r])
-                          for r in merged if r in envs[s]}
-            if merged != envs[s]:
+            merged = _range_meet(cur, e)
+            merges[s] += 1
+            if merges[s] > 8:
+                merged = {r: cur[r].widen(merged[r])
+                          for r in merged if r in cur}
+            if merged != cur:
                 envs[s] = merged
                 work.append(s)
-    at = {}
-    entry_env = {}
+    at: list[list | None] = [None] * n
+    entry_env: list[dict | None] = [None] * n
     for i in wanted:
         env = envs[i] if envs[i] is not None else {}
-        entry_env[i] = dict(env)
-        facts = seen_at.get(i)
+        entry_env[i] = env
+        facts = last_facts[i]
         if facts is None:                       # never reached
-            facts = []
-            cur = dict(env)
-            for ins in blocks[i].instrs:
-                facts.append(cur)
-                cur = _range_transfer(ins, cur)
-        for j, fact in enumerate(facts):
-            at[(i, j)] = fact
+            facts = _block_ranges(blocks[i].instrs, env)[0]
+        at[i] = facts
     return at, entry_env
 
 
@@ -590,46 +662,61 @@ def _intra_region(blocks: list[OptBlock], labels: dict, f: int) -> set:
     return seen
 
 
+def _frame_check(b: OptBlock, facts: list, head: bool) -> tuple[bool, bool]:
+    """``(balanced, keeps)`` over one block of a function body, given
+    its range facts: does every ``ret`` in it fire with ``esp`` exactly
+    at ``[0, 0]``, and does nothing in it lose the caller's ``%ebp``?
+    ``head`` marks the function's first block, whose ``pushl %ebp;
+    movl %esp, %ebp`` prologue is exempt."""
+    balanced = keeps = True
+    for j, (ins, env) in enumerate(zip(b.instrs, facts)):
+        m = ins.mnemonic
+        if m == "ret":
+            esp = env.get("esp")
+            if esp is None or esp.is_bottom \
+                    or not esp.lo == esp.hi == 0:
+                balanced = False
+            if j == 0 or b.instrs[j - 1].mnemonic != "leave":
+                keeps = False
+        elif "ebp" in regs_written(ins) and m != "leave" \
+                and not (head and j == 1):
+            keeps = False
+        if keeps and has_mem_write(ins) and not (head and j == 0):
+            accs = _access_intervals(ins, env)
+            if accs is None:
+                keeps = False
+            else:
+                # the saved %ebp lives at [-4, -1] — every store must
+                # provably miss it
+                for iv in accs:
+                    if iv.is_bottom or not (iv.hi <= -8 or iv.lo >= 0):
+                        keeps = False
+    return balanced, keeps
+
+
 def _check_function(blocks: list[OptBlock], f: int, region: set,
-                    at: dict) -> tuple[bool, bool]:
+                    at: list) -> tuple[bool, bool]:
     """Does the function at block ``f`` provably (balance %esp,
-    preserve %ebp)?  ``at`` is the range environment computed from
-    ``f`` with entry ``esp = [0, 0]``."""
-    balanced = True
-    keeps = True
+    preserve %ebp)?  ``at`` holds the range facts of each block of
+    ``region`` computed from ``f`` with entry ``esp = [0, 0]``.
+
+    Each block's :func:`_frame_check` is stored in its ``ranges`` under
+    ``("frame", f)`` and reused while its facts are the same list."""
     head = blocks[f].instrs
-    if len(head) < 2 \
-            or head[0].mnemonic != "pushl" \
-            or head[0].operands != (Register("ebp"),) \
-            or head[1].mnemonic != "movl" \
-            or head[1].operands != (Register("esp"), Register("ebp")):
-        keeps = False
+    balanced = True
+    keeps = not (len(head) < 2
+                 or head[0].mnemonic != "pushl"
+                 or head[0].operands != (Register("ebp"),)
+                 or head[1].mnemonic != "movl"
+                 or head[1].operands != (Register("esp"), Register("ebp")))
     for i in region:
         b = blocks[i]
-        for j, ins in enumerate(b.instrs):
-            m = ins.mnemonic
-            env = at.get((i, j), {})
-            if m == "ret":
-                esp = env.get("esp")
-                if esp is None or esp.is_bottom \
-                        or not esp.lo == esp.hi == 0:
-                    balanced = False
-                if j == 0 or b.instrs[j - 1].mnemonic != "leave":
-                    keeps = False
-            elif "ebp" in regs_written(ins) and m != "leave" \
-                    and not (i == f and j == 1):
-                keeps = False
-            if keeps and has_mem_write(ins) and not (i == f and j == 0):
-                accs = _access_intervals(ins, env)
-                if accs is None:
-                    keeps = False
-                else:
-                    # the saved %ebp lives at [-4, -1] — every store
-                    # must provably miss it
-                    for iv in accs:
-                        if iv.is_bottom or not (iv.hi <= -8
-                                                or iv.lo >= 0):
-                            keeps = False
+        memo = b.ranges.get(("frame", f))
+        if memo is None or memo[0] is not at[i]:
+            memo = b.ranges[("frame", f)] = (
+                at[i], _frame_check(b, at[i], i == f))
+        balanced = balanced and memo[1][0]
+        keeps = keeps and memo[1][1]
     return balanced, keeps
 
 
@@ -676,7 +763,7 @@ def function_effects(blocks: list[OptBlock], labels: dict) -> dict:
 def stack_ranges(blocks: list[OptBlock], entry: int):
     """Forward interval analysis: reg -> entry-%esp-relative Interval.
 
-    Returns ``(at, entry_env)``: ``at[(block, instr)]`` is the
+    Returns ``(at, entry_env)``: ``at[block][instr]`` is the
     environment *before* that instruction, ``entry_env[block]`` the
     environment at block entry.  A ``call`` edge carries ``esp - 4``
     (and the caller's ``ebp``) to the callee; what the fall-through
@@ -700,9 +787,14 @@ class OptContext:
     liveness of that list is computed on first use and then shared by
     dead-code elimination and the validator.  Passes return new blocks
     and leave their input as it was, so when a pass changes nothing
-    :func:`optimize_program` hands the same context to the next one."""
-    at: dict                      # (block, instr) -> reg -> Interval
-    entry_env: dict               # block -> reg -> Interval
+    :func:`optimize_program` hands the same context to the next one.
+
+    A new context is built only after a pass changed some block, and
+    recomputes only what the changed blocks affect: every other block
+    brings its stored range transfers and liveness masks (see
+    :class:`OptBlock`)."""
+    at: list                      # block -> [reg -> Interval per instr]
+    entry_env: list               # block -> reg -> Interval
     entry: int                    # entry block index
     labels: dict                  # label name -> block index
     fx: EffectTable = field(default_factory=EffectTable)
@@ -734,6 +826,13 @@ def _flags_dead_after(instrs: list, j: int) -> bool:
     return False
 
 
+#: mnemonics whose constant source register folds into an immediate
+_SOURCE_FOLDS = frozenset({"movl", "addl", "subl", "imull", "andl", "orl",
+                           "xorl", "cmpl", "testl", "pushl"})
+#: ALU mnemonics that fold to a ``movl`` on two known constants
+_ALU_FOLDS = frozenset({"addl", "subl", "imull", "andl", "orl", "xorl"})
+
+
 def fold_constants(blocks: list[OptBlock],
                    ctx: OptContext) -> tuple[list[OptBlock], int]:
     """Intra-block constant propagation, folding, and jcc resolution.
@@ -748,7 +847,7 @@ def fold_constants(blocks: list[OptBlock],
     out_blocks = []
     for b in blocks:
         if b.frozen:
-            out_blocks.append(b.copy())
+            out_blocks.append(b)
             continue
         consts: dict[str, int] = {}
         flags: dict[str, bool] = {}
@@ -763,28 +862,28 @@ def fold_constants(blocks: list[OptBlock],
             changed = False
             # fold known-constant source registers into immediates and
             # known-constant address registers into displacements
-            if m in ("movl", "addl", "subl", "imull", "andl", "orl",
-                     "xorl", "cmpl", "testl", "pushl"):
-                src = ops[0]
-                v = consts.get(src.name) if isinstance(src, Register) \
-                    else None
-                if v is not None:
-                    ops = (Immediate(v),) + ops[1:]
-                    changed = True
-            new_ops = []
-            for op in ops:
-                if isinstance(op, Memory) and op.base in consts:
-                    op = Memory(displacement=(op.displacement
-                                              + consts[op.base]) & MASK32,
-                                index=op.index, scale=op.scale)
-                    changed = True
-                if isinstance(op, Memory) and op.index in consts:
-                    op = Memory(displacement=(op.displacement + op.scale
-                                              * consts[op.index]) & MASK32,
-                                base=op.base)
-                    changed = True
-                new_ops.append(op)
-            ops = tuple(new_ops)
+            if consts:
+                if m in _SOURCE_FOLDS and isinstance(ops[0], Register):
+                    v = consts.get(ops[0].name)
+                    if v is not None:
+                        ops = (Immediate(v),) + ops[1:]
+                        changed = True
+                new_ops = []
+                for op in ops:
+                    if isinstance(op, Memory) and op.base in consts:
+                        op = Memory(displacement=(op.displacement
+                                                  + consts[op.base])
+                                    & MASK32,
+                                    index=op.index, scale=op.scale)
+                        changed = True
+                    if isinstance(op, Memory) and op.index in consts:
+                        op = Memory(displacement=(op.displacement + op.scale
+                                                  * consts[op.index])
+                                    & MASK32,
+                                    base=op.base)
+                        changed = True
+                    new_ops.append(op)
+                ops = tuple(new_ops)
 
             # resolve a conditional jump whose flags are all known
             if m in TAKEN and all(f in flags for f in JCC_READS[m]):
@@ -797,8 +896,7 @@ def fold_constants(blocks: list[OptBlock],
             # fold an ALU op on two known constants into a movl, when
             # its flag results are provably never observed
             folded = False
-            if m in ("addl", "subl", "imull", "andl", "orl", "xorl") \
-                    and isinstance(ops[1], Register) \
+            if m in _ALU_FOLDS and isinstance(ops[1], Register) \
                     and ops[1].name not in ("esp", "ebp"):
                 sv, dv = reg_const(ops[0]), consts.get(ops[1].name)
                 if sv is not None and dv is not None:
@@ -826,13 +924,14 @@ def fold_constants(blocks: list[OptBlock],
 
             # -- update the environment past this instruction --------
             if not folded:
-                for f in flags_may_written(ins):
-                    flags.pop(f, None)
+                if flags:
+                    for f in flags_may_written(ins):
+                        flags.pop(f, None)
                 if m == "movl" and isinstance(ops[1], Register) \
                         and isinstance(ops[0], Immediate) \
                         and ops[1].name not in ("esp", "ebp"):
                     consts[ops[1].name] = ops[0].value & MASK32
-                else:
+                elif consts:
                     for r in regs_written(ins):
                         consts.pop(r, None)
             else:
@@ -841,8 +940,7 @@ def fold_constants(blocks: list[OptBlock],
                                               isinstance(ops[1], Register)
                                               else ""}:
                     consts.pop(r, None)
-        nb = OptBlock(list(b.labels), out, b.frozen)
-        out_blocks.append(nb)
+        out_blocks.append(b.with_instrs(out))
     return out_blocks, count
 
 
@@ -894,8 +992,9 @@ def local_values(blocks: list[OptBlock],
     out_blocks = []
     for bi, b in enumerate(blocks):
         if b.frozen:
-            out_blocks.append(b.copy())
+            out_blocks.append(b)
             continue
+        facts = ctx.at[bi]
         tok = iter(range(1, 1 << 30))
         reg_val = {r: ("r0", r) for r in GP}
         mem: dict = {}
@@ -921,7 +1020,7 @@ def local_values(blocks: list[OptBlock],
             return root if delta == 0 else ("lin", root, delta)
 
         def key_of(op: Memory, j):
-            env = ctx.at.get((bi, j), {})
+            env = facts[j]
             rel = op.displacement
             concrete = op.base is not None or op.index is not None
             for reg, scale in ((op.base, 1), (op.index, op.scale)):
@@ -946,7 +1045,7 @@ def local_values(blocks: list[OptBlock],
 
         def esp_slot(j, delta):
             """Key of the stack slot at current %esp + delta."""
-            env = ctx.at.get((bi, j), {})
+            env = facts[j]
             iv = env.get("esp")
             if iv is not None and not iv.is_bottom and iv.lo == iv.hi:
                 return ("abs", int(iv.lo) + delta)
@@ -978,13 +1077,13 @@ def local_values(blocks: list[OptBlock],
                 last_store.clear()
 
         def in_stack(op: Memory, j) -> bool:
-            env = ctx.at.get((bi, j), {})
+            env = facts[j]
             if op.base is None or op.index is not None:
                 return False
             iv = env.get(op.base)
             if iv is None:
                 return False
-            return iv.add(Interval.const(op.displacement)).contains(
+            return iv.shift(op.displacement).contains(
                 SAFE_LO, SAFE_HI)
 
         def vn_of(op, j):
@@ -1182,9 +1281,7 @@ def local_values(blocks: list[OptBlock],
             out.append(ins)
             generic(ins, j)
 
-        nb = OptBlock(list(b.labels),
-                      [i for i in out if i is not None], b.frozen)
-        out_blocks.append(nb)
+        out_blocks.append(b.with_instrs([i for i in out if i is not None]))
     return out_blocks, count
 
 
@@ -1216,20 +1313,27 @@ def asm_liveness(blocks: list[OptBlock]) -> list[frozenset]:
 
 
 def live_out_masks(blocks: list[OptBlock], fx: EffectTable) -> list[int]:
-    """:func:`asm_liveness` as one :data:`BIT` mask per block."""
+    """:func:`asm_liveness` as one :data:`BIT` mask per block.
+
+    Each block's ``(gen, ~kill)`` pair is stored on the block
+    (``OptBlock.gen_kill``), so a block list that shares blocks with an
+    earlier one folds only its new blocks."""
     labels = block_index_map(blocks)
     n = len(blocks)
     gens: list[int] = []
     keeps: list[int] = []
     succs: list[list[int] | None] = []
+    rows = fx.rows
     for i, b in enumerate(blocks):
-        gen = kill = 0
-        for ins in reversed(b.instrs):
-            use, k, _ = fx(ins)
-            gen = (gen & ~k) | use
-            kill |= k
-        gens.append(gen)
-        keeps.append(~kill)
+        if b.gen_kill is None:
+            gen = kill = 0
+            for ins in reversed(b.instrs):
+                use, k, _ = rows.get(id(ins)) or fx(ins)
+                gen = (gen & ~k) | use
+                kill |= k
+            b.gen_kill = (gen, ~kill)
+        gens.append(b.gen_kill[0])
+        keeps.append(b.gen_kill[1])
         ss: list[int] | None = block_succs(blocks, i, labels)
         if not ss or (b.instrs and b.instrs[-1].mnemonic in CALLS):
             ss = None                   # everything is live out
@@ -1274,8 +1378,9 @@ def eliminate_dead(blocks: list[OptBlock],
     out_blocks = []
     for bi, b in enumerate(blocks):
         if b.frozen:
-            out_blocks.append(b.copy())
+            out_blocks.append(b)
             continue
+        facts = ctx.at[bi]
         live = live_out[bi]
         kept_rev = []
         for j in range(len(b.instrs) - 1, -1, -1):
@@ -1286,7 +1391,7 @@ def eliminate_dead(blocks: list[OptBlock],
                 and not (may_kill & live)
                 and not has_mem_write(ins))
             if deletable and has_mem_read(ins):
-                accs = _access_intervals(ins, ctx.at.get((bi, j), {}))
+                accs = _access_intervals(ins, facts[j])
                 deletable = accs is not None and all(
                     iv.contains(SAFE_LO, SAFE_HI) for iv in accs)
             if deletable:
@@ -1294,8 +1399,7 @@ def eliminate_dead(blocks: list[OptBlock],
                 continue
             kept_rev.append(ins)
             live = (live & ~kill) | use
-        out_blocks.append(OptBlock(list(b.labels), kept_rev[::-1],
-                                   b.frozen))
+        out_blocks.append(b.with_instrs(kept_rev[::-1]))
     return out_blocks, count
 
 
@@ -1315,10 +1419,16 @@ def thread_jumps(blocks: list[OptBlock],
     as written: the validator cannot execute such a block, so it
     would reject every rewrite of it.
     """
-    new_blocks = [b.copy() for b in blocks]
+    new_blocks = list(blocks)
     labels = block_index_map(new_blocks)
     n = len(new_blocks)
     count = 0
+
+    def edit(i: int) -> OptBlock:
+        """Output block ``i``, copied from the input on its first edit."""
+        if new_blocks[i] is blocks[i]:
+            new_blocks[i] = blocks[i].copy()
+        return new_blocks[i]
 
     def resolve(i, *, empty_only: bool = False):
         seen = set()
@@ -1338,11 +1448,12 @@ def thread_jumps(blocks: list[OptBlock],
             break
         return i
 
-    for i, nb in enumerate(new_blocks):
-        if not nb.instrs:
+    for i in range(n):
+        instrs = new_blocks[i].instrs
+        if not instrs:
             continue
-        last = nb.instrs[-1]
-        if nb.frozen or last.mnemonic not in JUMPS:
+        last = instrs[-1]
+        if new_blocks[i].frozen or last.mnemonic not in JUMPS:
             continue
         t0 = labels.get(last.operands[0].name)
         t = resolve(t0)
@@ -1352,22 +1463,22 @@ def thread_jumps(blocks: list[OptBlock],
                 name = f".opt{t}"
                 while name in labels:
                     name += "x"
-                new_blocks[t].labels.append(name)
+                edit(t).labels.append(name)
                 labels[name] = t
-            nb.instrs[-1] = replace(last,
-                                    operands=(LabelRef(name, None),))
+            edit(i).instrs[-1] = replace(last,
+                                         operands=(LabelRef(name, None),))
             count += 1
             t0 = t
         fall = resolve(i + 1, empty_only=True)
         if t0 is not None and resolve(t0, empty_only=True) == fall:
             # target and fall-through meet: the jump is a no-op
-            nb.instrs.pop()
+            edit(i).instrs.pop()
             count += 1
 
     reach = reachable_blocks(new_blocks, ctx.entry)
-    for i, nb in enumerate(new_blocks):
-        if i not in reach and nb.instrs:
-            nb.instrs = []
+    for i in range(n):
+        if i not in reach and new_blocks[i].instrs:
+            edit(i).instrs = []
             count += 1
     return new_blocks, count
 
@@ -1377,6 +1488,24 @@ def thread_jumps(blocks: list[OptBlock],
 # ---------------------------------------------------------------------------
 
 PIPELINE = (fold_constants, local_values, eliminate_dead, thread_jumps)
+
+
+def _proved_safe(blocks: list[OptBlock], at: list, addresses) -> frozenset:
+    """The addresses of the instructions whose every memory access the
+    range facts ``at`` prove within ``[esp0 + SAFE_LO, esp0 + SAFE_HI]``.
+
+    ``addresses`` yields one address per instruction of ``blocks``, in
+    block order."""
+    addresses = iter(addresses)
+    safe = set()
+    for b, facts in zip(blocks, at):
+        # zip draws from b.instrs first, so it stops at the block's end
+        # without taking the next block's first address
+        for ins, env, addr in zip(b.instrs, facts, addresses):
+            accs = _access_intervals(ins, env)
+            if accs and all(iv.contains(SAFE_LO, SAFE_HI) for iv in accs):
+                safe.add(addr)
+    return frozenset(safe)
 
 
 def stack_safe_addresses(program: Program) -> frozenset:
@@ -1392,19 +1521,20 @@ def stack_safe_addresses(program: Program) -> frozenset:
     if entry is None:
         return frozenset()
     at, _ = stack_ranges(blocks, entry)
-    safe = set()
-    for (bi, j), env in at.items():
-        ins = blocks[bi].instrs[j]
-        accs = _access_intervals(ins, env)
-        if accs and all(iv.contains(SAFE_LO, SAFE_HI) for iv in accs):
-            safe.add(ins.address)
-    return frozenset(safe)
+    return _proved_safe(blocks, at,
+                        (ins.address for b in blocks for ins in b.instrs))
+
+
+def _context(blocks: list[OptBlock], entry: int,
+             fx: EffectTable) -> OptContext:
+    at, entry_env = stack_ranges(blocks, entry)
+    return OptContext(at, entry_env, entry, block_index_map(blocks), fx)
 
 
 def _same_blocks(a: list[OptBlock], b: list[OptBlock]) -> bool:
     """Same labels and instructions, block for block?"""
     return len(a) == len(b) and all(
-        x.labels == y.labels and x.instrs == y.instrs
+        x is y or (x.labels == y.labels and x.instrs == y.instrs)
         for x, y in zip(a, b))
 
 
@@ -1416,7 +1546,10 @@ def optimize_program(program: Program, *, passes=None,
     identically to the input when executed from its entry point.
 
     The result's program carries ``stack_safe`` — the range-analysis
-    facts the JIT consumes to elide per-access stack guards.
+    facts the JIT consumes to elide per-access stack guards, read from
+    the context of the final block list.  A pass application that
+    rewrote nothing is not validated; see the module docstring for the
+    facts reused between passes.
     """
     passes = PIPELINE if passes is None else passes
     blocks, bail = extract_blocks(program)
@@ -1442,33 +1575,39 @@ def optimize_program(program: Program, *, passes=None,
     for _ in range(max(1, rounds)):
         for passfn in passes:
             if ctx is None:
-                at, entry_env = stack_ranges(blocks, entry)
-                ctx = OptContext(at, entry_env, entry,
-                                 block_index_map(blocks), fx)
+                ctx = _context(blocks, entry, fx)
             new_blocks, n = passfn(blocks, ctx)
             name = getattr(passfn, "__name__", "pass")
             result.pass_stats[name] = result.pass_stats.get(name, 0) + n
-            rejs = check_blocks(blocks, new_blocks, entry,
-                                ctx.entry_env, ctx.live_out(blocks))
+            if len(new_blocks) == len(blocks) \
+                    and all(map(is_, new_blocks, blocks)):
+                continue                # nothing rewritten
+            rejs = check_blocks(blocks, new_blocks, entry, ctx.entry_env,
+                                ctx.live_out(blocks), reuse=True)
             for r in rejs:
                 r.pass_name = name
             result.rejections.extend(rejs)
             bad = {r.block for r in rejs}
             merged = []
             for i in range(len(blocks)):
-                if i in bad:
+                if i not in bad:
+                    merged.append(new_blocks[i])
+                elif new_blocks[i].labels == blocks[i].labels:
+                    merged.append(blocks[i])
+                else:
                     keep = blocks[i].copy()
                     keep.labels = list(new_blocks[i].labels)
                     merged.append(keep)
-                else:
-                    merged.append(new_blocks[i])
             new_blocks = merged
             if not _same_blocks(blocks, new_blocks):
                 ctx = None              # the facts described the old list
             blocks = new_blocks
 
+    if ctx is None:
+        ctx = _context(blocks, entry, fx)
     optimized = rebuild(blocks, program)
-    optimized.stack_safe = stack_safe_addresses(optimized)
+    optimized.stack_safe = _proved_safe(
+        blocks, ctx.at, (ins.address for ins in optimized.instructions))
     result.program = optimized
     result.static_after = len(optimized.instructions)
     result.proved_safe = len(optimized.stack_safe)

@@ -22,6 +22,17 @@ from the same condition text the machine's handlers are.  Copy
 propagation, store forwarding, and control-flow rewrites are
 re-derived independently over symbolic values.
 
+Inside one :func:`~repro.analysis.opt.optimize_program` call the
+validator reuses work, never verdicts.  A pass hands back the same
+block object for every block it left alone, and such a block is
+accepted at once (same object, same instructions).  A block's symbolic
+execution is stored on the block and reused when the same instruction
+objects run at the same index of a list of the same length, with the
+same jump target and equal entry bounds: those are all an execution
+reads.  So the original side of one pass's check is the rewritten side
+of the previous pass's.  Every comparison is still made afresh, and
+the public :func:`validate_blocks` reuses nothing.
+
 **Equivalence contract.**  For non-faulting executions entered at the
 program entry point, an accepted rewrite preserves: the final value
 of every live register and flag at each block boundary, all memory
@@ -95,10 +106,24 @@ def latom(a):
     return ("lin", ((a, 1),), 0)
 
 
+# Every form the validator builds is canonical: its terms are sorted by
+# ``repr``, one per atom.  The fast paths below return what the merge
+# and sort would, without doing it (tests/analysis/test_linear_forms.py
+# checks them against the merge and sort).
+
+def _nonzero(terms) -> tuple:
+    """The terms whose coefficient is not zero."""
+    for t in terms:
+        if not t[1]:
+            return tuple(t for t in terms if t[1])
+    return terms
+
+
 def ladd(a, b):
     if not b[1]:            # plus a constant: a's terms stay in order
-        return ("lin", tuple(t for t in a[1] if t[1]),
-                (a[2] + b[2]) & MASK32)
+        return ("lin", _nonzero(a[1]), (a[2] + b[2]) & MASK32)
+    if not a[1]:            # a constant plus b: b's terms stay in order
+        return ("lin", _nonzero(b[1]), (a[2] + b[2]) & MASK32)
     acc: dict = {}
     for atom, k in a[1] + b[1]:
         acc[atom] = (acc.get(atom, 0) + k) & MASK32
@@ -111,6 +136,11 @@ def lmulc(a, c: int):
     c &= MASK32
     if c == 0:
         return lconst(0)
+    if c == 1:
+        return a
+    if len(a[1]) < 2:       # nothing to reorder
+        return ("lin", tuple((at, (k * c) & MASK32) for at, k in a[1]),
+                (a[2] * c) & MASK32)
     terms = tuple(sorted(((at, (k * c) & MASK32) for at, k in a[1]),
                          key=repr))
     return ("lin", terms, (a[2] * c) & MASK32)
@@ -121,6 +151,10 @@ def lneg(a):
 
 
 def lsub(a, b):
+    if not b[1]:            # minus a constant: a's terms stay in order
+        return ("lin", _nonzero(a[1]), (a[2] - b[2]) & MASK32)
+    if a[1] == b[1]:        # the terms cancel
+        return ("lin", (), (a[2] - b[2]) & MASK32)
     return ladd(a, lneg(b))
 
 
@@ -169,24 +203,34 @@ def _stack_interval(e, bounds) -> Interval | None:
 # symbolic machine state
 # ---------------------------------------------------------------------------
 
+#: register and flag values at block entry (forms are immutable, so
+#: every state starts from copies of these two dicts)
+_ENTRY_REGS = {r: latom(("reg0", r)) for r in GP}
+_ENTRY_FLAGS = {f: ("flag0", f) for f in FLAG_NAMES}
+
+
 class SymState:
     """Registers, flags, and an ordered memory-write log, all symbolic."""
 
     def __init__(self, bounds):
-        self.regs = {r: latom(("reg0", r)) for r in GP}
-        self.flags = {f: ("flag0", f) for f in FLAG_NAMES}
+        self.regs = dict(_ENTRY_REGS)
+        self.flags = dict(_ENTRY_FLAGS)
         self.writes: list = []       # ordered (addr, size, val)
         self.reads: list = []        # every loaded address (fault surface)
         self.events: list = []       # ordered fault-risky ops (idivl)
         self.bounds = bounds
+        self._intervals: dict = {}   # address -> _stack_interval
 
     def _disjoint(self, a, b) -> bool:
         """Are two 4-byte accesses provably non-overlapping?"""
-        d = lsub(a, b)
-        if not d[1]:
-            return 4 <= d[2] <= MASK32 + 1 - 4
-        ia = _stack_interval(a, self.bounds)
-        ib = _stack_interval(b, self.bounds)
+        if a[1] == b[1] or _nonzero(a[1]) == _nonzero(b[1]):
+            # lsub(a, b) would be this constant
+            return 4 <= (a[2] - b[2]) & MASK32 <= MASK32 + 1 - 4
+        ivs = self._intervals
+        ia = ivs[a] if a in ivs else \
+            ivs.setdefault(a, _stack_interval(a, self.bounds))
+        ib = ivs[b] if b in ivs else \
+            ivs.setdefault(b, _stack_interval(b, self.bounds))
         return (ia is not None and ib is not None
                 and (ia.lo >= ib.hi + 4 or ib.lo >= ia.hi + 4))
 
@@ -466,21 +510,59 @@ def _normalize(outcome, index, blocks, labels):
 # per-block equivalence
 # ---------------------------------------------------------------------------
 
+_TRANSFERS = frozenset(JCC_READS) | CALLS | {"jmp"}
+
+
+def _run(b: OptBlock, labels, index: int, nblocks: int, bounds,
+         reuse: bool):
+    """:func:`_exec_block` of block ``b``, or the :class:`Unsupported`
+    it raised.
+
+    With ``reuse`` the run is stored in ``b.sym``, and a stored run is
+    returned when it was made at this index of a list this long, with
+    the same jump target and equal bounds.  Those are all an execution
+    reads besides the instructions: the block's first transfer is the
+    only instruction that looks a label up (anything after it is an
+    error), and the bounds only decide which stack accesses are
+    disjoint."""
+    if reuse:
+        name = None
+        for ins in b.instrs:
+            if ins.mnemonic in _TRANSFERS:
+                op = ins.operands[0]
+                name = op.name if isinstance(op, LabelRef) else None
+                break
+        key = (index, nblocks, labels.get(name))
+        if b.sym is not None and b.sym[0] == key and b.sym[1] == bounds:
+            return b.sym[2]
+    try:
+        run = _exec_block(b.instrs, labels, index, nblocks, bounds)
+    except Unsupported as exc:
+        run = exc
+    if reuse:
+        b.sym = (key, bounds, run)
+    return run
+
+
 def _check_block(i, ob, nb, orig, opt, olab, nlab, live, bounds,
-                 unreachable) -> str | None:
+                 unreachable, reuse) -> str | None:
     """None if the rewrite of block ``i`` is proved equivalent, else
-    the reason it is not."""
+    the reason it is not.  ``reuse`` is passed on to :func:`_run`."""
+    if ob is nb:
+        return None
     if not set(ob.labels) <= set(nb.labels):
         return "block lost labels"
     if ob.instrs == nb.instrs:
         return None
     if not nb.instrs and i in unreachable:
         return None                     # dropping unreachable code
-    try:
-        so, oo = _exec_block(ob.instrs, olab, i, len(orig), bounds)
-        sn, on = _exec_block(nb.instrs, nlab, i, len(opt), bounds)
-    except Unsupported as exc:
-        return f"not symbolically checkable ({exc}) and changed"
+    old = _run(ob, olab, i, len(orig), bounds, reuse)
+    if isinstance(old, Unsupported):
+        return f"not symbolically checkable ({old}) and changed"
+    new = _run(nb, nlab, i, len(opt), bounds, reuse)
+    if isinstance(new, Unsupported):
+        return f"not symbolically checkable ({new}) and changed"
+    (so, oo), (sn, on) = old, new
 
     oo = _normalize(oo, i, orig, olab)
     on = _normalize(on, i, opt, nlab)
@@ -550,15 +632,23 @@ def validate_blocks(orig: list[OptBlock], opt: list[OptBlock], *,
     :class:`~repro.analysis.dataflow.Interval`); see the module
     docstring for exactly how far those facts are trusted.
     """
-    return check_blocks(orig, opt, entry_index, entry_bounds or {},
+    bounds = entry_bounds or {}
+    return check_blocks(orig, opt, entry_index,
+                        [bounds.get(i, {}) for i in range(len(orig))],
                         live_out_masks(orig, EffectTable()))
 
 
 def check_blocks(orig: list[OptBlock], opt: list[OptBlock],
-                 entry_index: int, entry_bounds: dict,
-                 live: list[int]) -> list[Rejection]:
+                 entry_index: int, entry_bounds: list,
+                 live: list[int], *, reuse: bool = False) -> list[Rejection]:
     """:func:`validate_blocks` with the liveness of ``orig`` given, as
-    :func:`~repro.analysis.opt.live_out_masks` computes it."""
+    :func:`~repro.analysis.opt.live_out_masks` computes it, and the
+    entry bounds as a list by block index.
+
+    With ``reuse`` (as :func:`~repro.analysis.opt.optimize_program`
+    calls it), a block's symbolic execution is stored on the block and
+    reused by a later check (see :func:`_run`); the verdicts are the
+    same either way."""
     if len(orig) != len(opt):
         return [Rejection(-1, "", "block count changed")]
     olab = block_index_map(orig)
@@ -568,8 +658,8 @@ def check_blocks(orig: list[OptBlock], opt: list[OptBlock],
     out = []
     for i, (ob, nb) in enumerate(zip(orig, opt)):
         reason = _check_block(i, ob, nb, orig, opt, olab, nlab,
-                              live[i], entry_bounds.get(i, {}),
-                              unreachable)
+                              live[i], entry_bounds[i], unreachable,
+                              reuse)
         if reason is not None:
             out.append(Rejection(i, "", reason))
     return out

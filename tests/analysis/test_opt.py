@@ -185,6 +185,37 @@ class TestValidator:
         assert all(r.pass_name == "broken" for r in result.rejections)
         assert run_flat(result.program) == run_flat(program)
 
+    def test_broken_pass_reusing_accepted_blocks_rejected(self):
+        # fold_constants' rewrites are validated at their own index, and
+        # each new block keeps its accepted symbolic run; a "pass" that
+        # rotates those very block objects to other unlabelled indices
+        # must see every move that changes the code rejected
+        moved = {}
+
+        def rotate(blocks, ctx):
+            spots = [i for i, b in enumerate(blocks)
+                     if not b.labels and b.sym is not None]
+            out = list(blocks)
+            for i, j in zip(spots, spots[1:] + spots[:1]):
+                out[i] = blocks[j]
+                if [str(x) for x in blocks[i].instrs] != \
+                        [str(x) for x in blocks[j].instrs]:
+                    moved[i] = j
+            return out, len(spots)
+
+        src = (REPO / "examples" / "c" / "sum.c").read_text()
+        program = program_from_source(src)
+        result = optimize_program(program_from_source(src),
+                                  passes=[fold_constants, rotate], rounds=1)
+        assert len(moved) >= 2
+        assert {r.block for r in result.rejections} == set(moved)
+        assert all(r.pass_name == "rotate" for r in result.rejections)
+        (s0, _, regs0, flags0), (s1, _, regs1, flags1) = \
+            run_flat(program), run_flat(result.program)
+        regs0.pop("eip")
+        regs1.pop("eip")
+        assert (s1, regs1, flags1) == (s0, regs0, flags0)
+
     def test_validate_blocks_flags_changed_semantics(self):
         src = ("main:\n"
                "  movl $1, %eax\n"
