@@ -6,6 +6,7 @@ count:
     movl $1, %eax    # EXPECT: asm-instruction-in-data
 .text
 main:
+    .long 5          # EXPECT: asm-data-in-text
     movl $1, %eax
     jmp done
     movl $2, %eax    # EXPECT: asm-unreachable

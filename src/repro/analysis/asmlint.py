@@ -7,8 +7,8 @@ first problem, the lint reads the same records from
 
 * each error of the scan, as ``asm-<kind>``: an operand or data
   directive that does not parse (``asm-syntax``), an unknown mnemonic,
-  an instruction in ``.data``, a duplicate label, a reference to an
-  undefined label, and the errors of
+  an instruction in ``.data``, a data directive in ``.text``, a
+  duplicate label, a reference to an undefined label, and the errors of
   :func:`~repro.isa.instructions.operand_errors` (arity and jump
   targets, two memory operands, an immediate in a written role, a
   ``leal`` source that is not memory);

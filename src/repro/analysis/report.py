@@ -40,6 +40,7 @@ KINDS: dict[str, str] = {
     "asm-two-memory": "error",
     "asm-address-operand": "error",
     "asm-instruction-in-data": "error",
+    "asm-data-in-text": "error",
     "asm-unreachable": "warning",
     "asm-self-move": "warning",
     "asm-dead-store": "warning",

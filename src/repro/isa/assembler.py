@@ -3,8 +3,9 @@
 Accepts the assembly dialect the course reads and writes: ``movl $5,
 %eax``, ``addl %ebx, %eax``, ``movl 8(%ebp), %eax``, indexed forms like
 ``movl (%eax,%ecx,4), %edx``, labels, jumps, call/ret/leave, and
-comments (``#`` to end of line). :func:`scan` reads the source into one
-record per line; :func:`assemble` lays instructions out at 4-byte slots
+comments (``#`` to end of line, outside a quoted string). :func:`scan`
+reads the source into one record per line; :func:`assemble` lays
+instructions out at 4-byte slots
 in the text region, resolves label references, and raises the first
 error the scan yields. The asm lint (:mod:`repro.analysis.asmlint`)
 reports every error of the same scan, so the two tools agree by
@@ -107,6 +108,47 @@ def _split_operands(text: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
+#: the directives that emit data bytes (only ``.data`` may hold them)
+DATA_DIRECTIVES = frozenset({".long", ".byte", ".space", ".ascii", ".asciz",
+                             ".string"})
+#: what each escape in a string directive stands for; any other
+#: backslash pair is kept as written
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+
+def _unescape(body: str) -> bytes:
+    """The bytes of a string directive's quoted body, escapes decoded
+    left to right."""
+    out = []
+    k = 0
+    while k < len(body):
+        pair = body[k:k + 2]
+        if len(pair) == 2 and pair[0] == "\\":
+            out.append(_ESCAPES.get(pair[1], pair))
+            k += 2
+        else:
+            out.append(body[k])
+            k += 1
+    return "".join(out).encode()
+
+
+def _strip_comment(line: str) -> str:
+    """``line`` up to its first ``#`` outside a double-quoted string."""
+    if '"' not in line:
+        return line.split("#", 1)[0]
+    quoted = escaped = False
+    for k, ch in enumerate(line):
+        if escaped:
+            escaped = False
+        elif ch == "\\" and quoted:
+            escaped = True
+        elif ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return line[:k]
+    return line
+
+
 def _data_bytes(directive: str, rest: str) -> bytes:
     """The bytes one ``.data`` directive emits."""
     if directive == ".long":
@@ -122,11 +164,8 @@ def _data_bytes(directive: str, rest: str) -> bytes:
     if directive in (".asciz", ".string", ".ascii"):
         if len(rest) < 2 or rest[0] != '"' or rest[-1] != '"':
             raise AssemblerError(f"{directive} needs a quoted string")
-        if directive == ".ascii":
-            return rest[1:-1].encode()
-        body = (rest[1:-1].replace("\\n", "\n").replace("\\t", "\t")
-                .replace('\\"', '"').replace("\\\\", "\\"))
-        return body.encode() + b"\x00"
+        body = _unescape(rest[1:-1])
+        return body if directive == ".ascii" else body + b"\x00"
     raise AssemblerError(f"unknown data directive {directive!r}")
 
 
@@ -149,7 +188,8 @@ class Data(NamedTuple):
 
 
 class Directive(NamedTuple):
-    """Any other directive in ``.text``; the assembler ignores it."""
+    """A directive in ``.text`` that emits no data (``.globl``,
+    ``.align``, ...); the assembler ignores it."""
     line: int
     text: str
 
@@ -181,7 +221,7 @@ def scan(source: str) -> Iterator[Record]:
     used: list[tuple[str, int]] = []      # (label, line of use)
     in_data = False
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if line == ".data" or line == ".text":
@@ -204,7 +244,11 @@ def scan(source: str) -> Iterator[Record]:
         rest = parts[1] if len(parts) > 1 else ""
         if word[0] == ".":
             if not in_data:
-                yield Directive(lineno, line)
+                if word in DATA_DIRECTIVES:
+                    yield ScanError(lineno, "data-in-text",
+                                    f"{word} is only allowed in .data")
+                else:
+                    yield Directive(lineno, line)
                 continue
             try:
                 data = _data_bytes(word, rest)
@@ -250,9 +294,13 @@ def assemble(source: str, *, entry: str = "main",
     Supports ``.text``/``.data`` sections. In the data section, labels
     name positions in the initialised-data image and the directives
     ``.long``, ``.byte``, ``.space``, ``.asciz``/``.string``/``.ascii``
-    emit bytes. Data labels are usable from code as ``label`` (a memory
-    operand) or ``$label`` (the address as an immediate).  The first
-    :class:`ScanError` of :func:`scan` raises, naming its line.
+    emit bytes; the three string directives decode the escapes ``\\n``,
+    ``\\t``, ``\\"`` and ``\\\\``, and all but ``.ascii`` add a NUL.  A
+    data directive in the text section is an error, as an instruction
+    in the data section is.  Data labels are usable from code as
+    ``label`` (a memory operand) or ``$label`` (the address as an
+    immediate).  The first :class:`ScanError` of :func:`scan` raises,
+    naming its line.
     """
     from repro.clib.address_space import DATA_BASE
     if data_base is None:

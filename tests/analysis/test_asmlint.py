@@ -142,6 +142,14 @@ class TestDataSection:
         with pytest.raises(AssemblerError, match="not allowed in .data"):
             assemble(src)
 
+    def test_data_directive_in_text_is_an_error(self):
+        src = ".text\nmain:\n  .long 5\n  ret\n"
+        fs = lint_asm(src)
+        assert lines_of(fs, "asm-data-in-text") == [3]
+        assert {f.severity for f in fs} == {"error"}
+        with pytest.raises(AssemblerError, match="only allowed in .data"):
+            assemble(src)
+
 
 class TestSelfMove:
     def test_register_self_move_flagged(self):
@@ -302,7 +310,10 @@ class TestAgreesWithAssembler:
         ".data\nx:\n  .long 1\n.text\nmain:\n  ret\n",
         ".data\nx:\n  .long foo\n.text\nmain:\n  ret\n",
         ".data\nx:\n  .quad 1\n.text\nmain:\n  ret\n",
-        ".data\nx:\n  .asciz hi\n.text\nmain:\n  ret\n"])
+        ".data\nx:\n  .asciz hi\n.text\nmain:\n  ret\n",
+        "main:\n  .long 5\n  ret\n",
+        '.text\nmain:\n  .asciz "hi"\n  ret\n',
+        '.data\nx:\n  .asciz "a#b"\n.text\nmain:\n  ret\n'])
     def test_error_finding_iff_assembler_raises_on_programs(self, src):
         errors = [f for f in lint_asm(src) if f.severity == "error"]
         try:

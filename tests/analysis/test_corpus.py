@@ -27,7 +27,7 @@ EXPECTED_KINDS = {
     "asm-undefined-label", "asm-duplicate-label",
     "asm-unknown-mnemonic", "asm-self-move", "asm-dead-store",
     "asm-syntax", "asm-two-memory", "asm-address-operand",
-    "asm-instruction-in-data",
+    "asm-instruction-in-data", "asm-data-in-text",
 }
 
 

@@ -64,6 +64,32 @@ class TestAssemble:
         p = assemble(".text\nmain:\n  nop  # no-op\n  ret\n")
         assert len(p.instructions) == 2
 
+    def test_hash_inside_a_quoted_string_is_data(self):
+        p = assemble('.data\ns:\n  .asciz "a#b"  # the comment\n'
+                     '.text\nmain:\n  ret')
+        assert p.data_image == b"a#b\x00"
+
+    def test_escaped_quote_keeps_the_string_open(self):
+        p = assemble('.data\ns:\n  .ascii "a\\"#b"  # "c"\n'
+                     '.text\nmain:\n  ret')
+        assert p.data_image == b'a"#b'
+
+    @pytest.mark.parametrize("directive, nul", [(".ascii", b""),
+                                                (".asciz", b"\x00"),
+                                                (".string", b"\x00")])
+    def test_string_directives_decode_the_same_escapes(self, directive, nul):
+        p = assemble(f'.data\ns:\n  {directive} "a\\n\\t\\"\\\\n\\q"\n'
+                     '.text\nmain:\n  ret')
+        assert p.data_image == b'a\n\t"\\n\\q' + nul
+
+    @pytest.mark.parametrize("directive", [".long 5", ".byte 1", ".space 4",
+                                           '.ascii "a"', '.asciz "a"',
+                                           '.string "a"'])
+    def test_data_directive_in_text_rejected(self, directive):
+        with pytest.raises(AssemblerError,
+                           match=r"^line 2: \.\w+ is only allowed in \.data"):
+            assemble(f"main:\n  {directive}\n  ret")
+
     def test_label_resolution(self):
         p = assemble("main:\n  jmp done\n  nop\ndone:\n  ret")
         jmp = p.instructions[0]
@@ -149,6 +175,7 @@ REJECTED = [
     (".data\nx:\n  .long foo", 3),
     (".data\nx:\n.space", 3),
     (".data\nx:\n.space -1", 3),
+    ("main:\n  .long 5\n  ret", 2),
 ]
 
 
