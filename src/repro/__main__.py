@@ -4,14 +4,8 @@ Prints the course's shape (themes, schedule, Table I category counts),
 runs each lab's miniature demo, and finishes with the headline speedup
 measurement, so a fresh checkout can prove itself in seconds.
 
-Subcommands::
-
-    python -m repro analyze FILE.c|FILE.s|FILE.py|DIR ...
-    python -m repro trace DEMO [--chrome OUT.json] [--top N]
-    python -m repro run PROG.c [--bus flat|cached|virtual] [--procs N]
-    python -m repro gil [--threads N] [--probe] [--chrome OUT.json]
-    python -m repro cluster [life|mapreduce|pipeline] [--nodes N] ...
-
+``python -m repro CMD`` runs a subcommand instead, and
+``python -m repro CMD --help`` prints its usage and options.
 ``analyze`` runs the static-analysis subsystem (see
 :mod:`repro.analysis`); ``trace`` runs a demo workload under the
 observability layer (see :mod:`repro.obs`) and prints a profile,
@@ -21,13 +15,15 @@ executes it over a pluggable memory bus (see :mod:`repro.system`);
 host's real executor backends (see :mod:`repro.core.backends`);
 ``cluster`` runs the sharded distributed workloads over the simulated
 network and reports speedup with a comm/compute breakdown (see
-:mod:`repro.cluster`). Any subcommand replaces the tour.
+:mod:`repro.cluster`). All five share one parser and one usage
+contract (see :mod:`repro.cli`).
 """
 
 from __future__ import annotations
 
 import sys
 
+from repro.cli import COMMANDS, run_command
 from repro.core import is_near_linear, scaling_table
 from repro.curriculum import (
     THEMES,
@@ -40,21 +36,8 @@ from repro.life import random_grid, run_serial_cycles, simulated_scaling
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "analyze":
-        from repro.analysis.cli import run
-        return run(argv[1:])
-    if argv and argv[0] == "trace":
-        from repro.obs.cli import run
-        return run(argv[1:])
-    if argv and argv[0] == "run":
-        from repro.system.cli import run
-        return run(argv[1:])
-    if argv and argv[0] == "gil":
-        from repro.core.cli import run
-        return run(argv[1:])
-    if argv and argv[0] == "cluster":
-        from repro.cluster.cli import run
-        return run(argv[1:])
+    if argv and argv[0] in COMMANDS:
+        return run_command(argv[0], argv[1:])
     print("repro: CS 31 as an executable systems library")
     print("=" * 52)
     print("\nthemes:")

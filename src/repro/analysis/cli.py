@@ -23,27 +23,6 @@ from repro.analysis.report import (
     render_text,
 )
 
-USAGE = """\
-usage: python -m repro analyze [--json] [--expect-findings]
-                               [--fail-on-findings] [--opt] PATH [PATH...]
-
-Statically analyze C-subset (.c), assembly (.s), or thread-program
-(.py) sources.  Directories are searched recursively.
-
-  --json              emit findings as a JSON array instead of text
-  --expect-findings   invert the exit status: succeed only if every
-                      analyzed file has at least one finding (for
-                      seeded-buggy corpora)
-  --fail-on-findings  exit 1 on any finding (this is already the
-                      default; the flag states the gate explicitly
-                      for CI scripts and rejects --expect-findings)
-  --opt               instead of linting, run each .c/.s file through
-                      the translation-validated optimizer pipeline
-                      (repro.analysis.opt) and report what it did:
-                      per-pass rewrite counts, static instruction
-                      delta, proved-safe accesses, validator verdicts
-"""
-
 SUFFIXES = (".c", ".s", ".py")
 
 
@@ -72,61 +51,51 @@ def gather_files(paths: list[str]) -> list[Path]:
     return files
 
 
+def add_arguments(parser) -> None:
+    """Declare ``analyze``'s options and paths."""
+    parser.add_argument("paths", nargs="+", metavar="PATH",
+                        help="a source file or a directory to search")
+    parser.add_argument("--json", action="store_true",
+                        help="emit findings as a JSON array instead of text")
+    gate = parser.add_mutually_exclusive_group()
+    gate.add_argument("--expect-findings", action="store_true",
+                      help="succeed only if every file has a finding")
+    gate.add_argument("--fail-on-findings", action="store_true",
+                      help="exit 1 on any finding (the default, stated)")
+    parser.add_argument("--opt", action="store_true",
+                        help="report what the optimizer does to each .c/.s "
+                             "file instead of linting it")
+
+
 def run(argv: list[str]) -> int:
-    """Parse CLI arguments, analyze every path, print the report.
+    """``python -m repro analyze ARGV``; returns the exit status."""
+    # imported here: the package re-exports run, and must not load argparse
+    from repro.cli import run_command
+    return run_command("analyze", argv)
 
-    Returns the process exit status (0 clean, 1 findings, 2 usage).
-    """
-    as_json = False
-    expect_findings = False
-    fail_on_findings = False
-    opt_mode = False
-    paths: list[str] = []
-    for arg in argv:
-        if arg == "--json":
-            as_json = True
-        elif arg == "--expect-findings":
-            expect_findings = True
-        elif arg == "--fail-on-findings":
-            fail_on_findings = True
-        elif arg == "--opt":
-            opt_mode = True
-        elif arg in ("-h", "--help"):
-            print(USAGE)
-            return 0
-        elif arg.startswith("-"):
-            print(USAGE, file=sys.stderr)
-            print(f"unknown option {arg!r}", file=sys.stderr)
-            return 2
-        else:
-            paths.append(arg)
-    if not paths:
-        print(USAGE, file=sys.stderr)
-        return 2
-    if fail_on_findings and expect_findings:
-        print("--fail-on-findings and --expect-findings conflict",
-              file=sys.stderr)
-        return 2
 
-    files = gather_files(paths)
+def main(args) -> int:
+    """Analyze every path and print the report; returns the exit status
+    (0 clean, 1 findings, 2 a missing file or one ``--opt`` cannot build)."""
+    files = gather_files(args.paths)
     missing = [f for f in files if not f.is_file()]
     if missing:
         for f in missing:
             print(f"no such file: {f}", file=sys.stderr)
         return 2
 
-    if opt_mode:
+    if args.opt:
         return _run_opt(files)
 
     reports = [analyze_file(f) for f in files]
     findings = [f for r in reports for f in r.findings]
-    if as_json:
+    if args.json:
         print(render_json(findings))
     else:
         print(f"analyzed {len(files)} file(s)")
         print(render_text(findings))
 
-    if expect_findings:
+    if args.expect_findings:
         silent = [r.path for r in reports if r.clean]
         if silent:
             for p in silent:

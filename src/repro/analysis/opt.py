@@ -1587,6 +1587,8 @@ def optimize_program(program: Program, *, passes=None,
             for r in rejs:
                 r.pass_name = name
             result.rejections.extend(rejs)
+            if len(new_blocks) != len(blocks):
+                continue                # rejected whole: keep the old list
             bad = {r.block for r in rejs}
             merged = []
             for i in range(len(blocks)):

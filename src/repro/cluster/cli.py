@@ -16,33 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import cli
 from repro.cluster.life import cluster_scaling, run_cluster_life
 from repro.cluster.mapreduce import map_reduce_cache, map_reduce_translate
 from repro.cluster.network import NetworkCostModel
 from repro.cluster.queues import run_pipeline
 from repro.life.grid import random_grid
 from repro.life.serial import step
-
-USAGE = """\
-usage: python -m repro cluster [DEMO] [options]
-
-demos (default: life):
-  life        banded Game of Life with halo exchange, scaling curve
-  mapreduce   sharded cache + MMU trace engines with a merge phase
-  pipeline    distributed producer/consumer over network queues
-
-options:
-  --nodes N        largest cluster size (default 8)
-  --rounds R       Life generations (default 10)
-  --grid N         Life grid is N x N (default 128)
-  --mode M         Life edge mode: torus | bounded (default torus)
-  --items N        pipeline items / mapreduce trace length (default 64)
-  --schedule S     mapreduce placement: block|cyclic|dynamic|guided
-  --skew S         pipeline per-item cost skew (default 3.0)
-  --latency F      network latency in cycles (default 50)
-  --bandwidth F    network bandwidth in bytes/cycle (default 8)
-  --chrome OUT     write a validated Chrome trace (one lane per node)"""
-
 
 def _node_counts(top: int) -> list[int]:
     counts = [1]
@@ -87,9 +67,9 @@ def _demo_life(nodes: int, rounds: int, grid_n: int, mode: str,
     ok = bool(np.array_equal(largest.grid, oracle))
     print(f"\n  bit-identical to serial oracle: {ok}")
     if chrome is not None:
-        _write_trace(chrome, lambda rec: run_cluster_life(
-            grid, rounds, nodes=max(results), mode=mode, net_cost=cost,
-            recorder=rec))
+        with cli.chrome_trace(chrome) as rec:
+            run_cluster_life(grid, rounds, nodes=max(results), mode=mode,
+                             net_cost=cost, recorder=rec)
     return 0 if ok else 1
 
 
@@ -112,9 +92,9 @@ def _demo_mapreduce(nodes: int, items: int, schedule: str,
         print(f"    merged: {merged}")
         print("\n".join(_breakdown_lines(res.node_counters)))
     if chrome is not None:
-        _write_trace(chrome, lambda rec: map_reduce_cache(
-            trace, nodes=nodes, schedule=schedule, net_cost=cost,
-            recorder=rec))
+        with cli.chrome_trace(chrome) as rec:
+            map_reduce_cache(trace, nodes=nodes, schedule=schedule,
+                             net_cost=cost, recorder=rec)
     return 0
 
 
@@ -133,105 +113,54 @@ def _demo_pipeline(nodes: int, items: int, skew: float,
               f"consumer items {res.consumer_items}")
         print("\n".join(_breakdown_lines(res.node_counters)))
     if chrome is not None:
-        _write_trace(chrome, lambda rec: run_pipeline(
-            items, producers=producers, consumers=consumers,
-            placement="earliest", skew=skew, seed=31, net_cost=cost,
-            recorder=rec))
+        with cli.chrome_trace(chrome) as rec:
+            run_pipeline(items, producers=producers, consumers=consumers,
+                         placement="earliest", skew=skew, seed=31,
+                         net_cost=cost, recorder=rec)
     return 0
 
 
-def _write_trace(path: str, job) -> None:
-    from repro.obs.chrome import write_chrome
-    from repro.obs.recorder import TraceRecorder
-    recorder = TraceRecorder()
-    job(recorder)
-    count = write_chrome(recorder, path)
-    print(f"\n  wrote {count} Chrome trace events to {path} "
-          "(one lane per node; load in https://ui.perfetto.dev)")
+def add_arguments(parser) -> None:
+    """Declare ``cluster``'s demo and options."""
+    demos = ("life", "mapreduce", "pipeline")
+    parser.add_argument("demo", nargs="?", default="life", metavar="DEMO",
+                        type=cli.choice("demo", demos),
+                        help="life (banded Life, the default), mapreduce "
+                             "(sharded trace engines) or pipeline")
+    for flag, default, text in (
+            ("--nodes", 8, "largest cluster size"),
+            ("--rounds", 10, "Life generations"),
+            ("--grid", 128, "Life grid is N x N"),
+            ("--items", 64, "pipeline items / mapreduce trace length")):
+        parser.add_argument(flag, type=cli.positive_int, default=default,
+                            metavar="N", help=f"{text} (default: {default})")
+    parser.add_argument("--mode", choices=("torus", "bounded"),
+                        default="torus", help="Life edges (default: torus)")
+    parser.add_argument("--schedule", default="block",
+                        choices=("block", "cyclic", "dynamic", "guided"),
+                        help="mapreduce placement (default: block)")
+    for flag, kind, default, text in (
+            ("--skew", cli.non_negative_float, 3.0, "pipeline per-item skew"),
+            ("--latency", cli.non_negative_float, 50.0, "network cycles"),
+            ("--bandwidth", cli.positive_float, 8.0, "network bytes/cycle")):
+        parser.add_argument(flag, type=kind, default=default, metavar="F",
+                            help=f"{text} (default: {default:g})")
+    cli.add_chrome(parser, "re-run the largest configuration traced")
+
+
+def main(args) -> int:
+    """Run the chosen demo; 1 if Life's result differs from the oracle."""
+    cost = NetworkCostModel(latency=args.latency, bandwidth=args.bandwidth)
+    if args.demo == "life":
+        return _demo_life(args.nodes, args.rounds, args.grid, args.mode,
+                          cost, args.chrome)
+    if args.demo == "mapreduce":
+        return _demo_mapreduce(args.nodes, args.items, args.schedule, cost,
+                               args.chrome)
+    return _demo_pipeline(args.nodes, args.items, args.skew, cost,
+                          args.chrome)
 
 
 def run(argv: list[str]) -> int:
-    demo = None
-    nodes, rounds, grid_n, items = 8, 10, 128, 64
-    mode, schedule, skew = "torus", "block", 3.0
-    latency, bandwidth = 50.0, 8.0
-    chrome = None
-    args = list(argv)
-
-    def _value(flag: str, conv):
-        if not args:
-            print(f"error: {flag} needs a value")
-            return None
-        try:
-            return conv(args.pop(0))
-        except ValueError:
-            print(f"error: bad value for {flag}")
-            return None
-
-    while args:
-        arg = args.pop(0)
-        if arg in ("-h", "--help"):
-            print(USAGE)
-            return 0
-        if arg in ("--nodes", "--rounds", "--grid", "--items"):
-            val = _value(arg, int)
-            if val is None or val < 1:
-                print(f"error: {arg} needs a positive integer")
-                return 2
-            if arg == "--nodes":
-                nodes = val
-            elif arg == "--rounds":
-                rounds = val
-            elif arg == "--grid":
-                grid_n = val
-            else:
-                items = val
-        elif arg in ("--latency", "--bandwidth", "--skew"):
-            val = _value(arg, float)
-            if val is None or val < 0:
-                print(f"error: {arg} needs a non-negative number")
-                return 2
-            if arg == "--latency":
-                latency = val
-            elif arg == "--bandwidth":
-                bandwidth = val
-            else:
-                skew = val
-        elif arg == "--mode":
-            val = _value(arg, str)
-            if val not in ("torus", "bounded"):
-                print("error: --mode must be torus or bounded")
-                return 2
-            mode = val
-        elif arg == "--schedule":
-            val = _value(arg, str)
-            if val not in ("block", "cyclic", "dynamic", "guided"):
-                print("error: --schedule must be "
-                      "block, cyclic, dynamic, or guided")
-                return 2
-            schedule = val
-        elif arg == "--chrome":
-            chrome = _value(arg, str)
-            if chrome is None:
-                return 2
-        elif arg.startswith("-"):
-            print(f"error: unknown option {arg!r}\n{USAGE}")
-            return 2
-        elif demo is None:
-            demo = arg
-        else:
-            print(f"error: unexpected argument {arg!r}\n{USAGE}")
-            return 2
-    demo = demo or "life"
-    if demo not in ("life", "mapreduce", "pipeline"):
-        print(f"error: unknown demo {demo!r}\n{USAGE}")
-        return 2
-    if bandwidth <= 0:
-        print("error: --bandwidth must be positive")
-        return 2
-    cost = NetworkCostModel(latency=latency, bandwidth=bandwidth)
-    if demo == "life":
-        return _demo_life(nodes, rounds, grid_n, mode, cost, chrome)
-    if demo == "mapreduce":
-        return _demo_mapreduce(nodes, items, schedule, cost, chrome)
-    return _demo_pipeline(nodes, items, skew, cost, chrome)
+    """``python -m repro cluster ARGV``; returns the exit status."""
+    return cli.run_command("cluster", argv)

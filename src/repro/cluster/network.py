@@ -60,6 +60,13 @@ class NetworkCostModel:
     link_latency: dict[tuple[int, int], float] = field(default_factory=dict)
     link_bandwidth: dict[tuple[int, int], float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for name in ("latency", "send_overhead", "recv_overhead"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ClusterError(f"{name} must be finite and non-negative")
+        if not 0 < self.bandwidth < math.inf:
+            raise ClusterError("bandwidth must be finite and positive")
+
     def wire_cycles(self, src: int, dst: int,
                     nbytes: int) -> tuple[float, float]:
         """(latency, transfer) cycles for ``nbytes`` over ``src → dst``."""

@@ -10,25 +10,8 @@ the trace viewer.
 
 from __future__ import annotations
 
+from repro import cli
 from repro.core.machine import GilConfig, IoWait, SimMachine, SyncCosts, Work
-
-USAGE = """\
-usage: python -m repro gil [--threads N] [--switch-interval CYCLES]
-                           [--acquire-cost CYCLES] [--probe]
-                           [--chrome OUT.json]
-
-Runs cpu-bound and io-bound workloads under the simulated interpreter
-lock and without it, printing the speedup contrast (the GIL ablation,
-bench E19) and the convoy-effect timeline.
-
-  --threads N          thread count for the ablation (default 4)
-  --switch-interval C  simulated sys.setswitchinterval, in cycles
-                       (default 100)
-  --acquire-cost C     cycles charged per lock hand-off (default 5)
-  --probe              also print the real-backend capability table
-                       for this host
-  --chrome OUT.json    export the GIL-mode convoy run as a Chrome
-                       trace (holder spans + hand-off instants)"""
 
 FREE = SyncCosts(lock=0, unlock=0, barrier=0, cond=0, sem=0, spawn=0)
 
@@ -110,71 +93,43 @@ def _probe_table() -> list[str]:
     return lines
 
 
-def run(argv: list[str]) -> int:
-    threads = 4
-    interval = 100.0
-    acquire = 5.0
-    probe = False
-    chrome_path = None
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg in ("-h", "--help"):
-            print(USAGE)
-            return 0
-        if arg == "--threads":
-            if not args or not args[0].isdigit() or int(args[0]) < 1:
-                print("error: --threads needs a positive integer")
-                return 2
-            threads = int(args.pop(0))
-        elif arg == "--switch-interval":
-            if not args:
-                print("error: --switch-interval needs a cycle count")
-                return 2
-            interval = float(args.pop(0))
-        elif arg == "--acquire-cost":
-            if not args:
-                print("error: --acquire-cost needs a cycle count")
-                return 2
-            acquire = float(args.pop(0))
-        elif arg == "--probe":
-            probe = True
-        elif arg == "--chrome":
-            if not args:
-                print("error: --chrome needs a file path")
-                return 2
-            chrome_path = args.pop(0)
-        else:
-            print(f"error: unexpected argument {arg!r}\n{USAGE}")
-            return 2
-    try:
-        gil = GilConfig(switch_interval_cycles=interval,
-                        acquire_cost=acquire)
-    except Exception as exc:
-        print(f"error: {exc}")
-        return 2
+def add_arguments(parser) -> None:
+    """Declare ``gil``'s options."""
+    parser.add_argument("--threads", type=cli.positive_int, default=4,
+                        metavar="N", help="ablation threads (default: 4)")
+    parser.add_argument("--switch-interval", type=cli.positive_float,
+                        default=100.0, metavar="CYCLES",
+                        help="simulated sys.setswitchinterval, in cycles "
+                             "(default: 100)")
+    parser.add_argument("--acquire-cost", type=cli.non_negative_float,
+                        default=5.0, metavar="CYCLES",
+                        help="cycles charged per lock hand-off (default: 5)")
+    parser.add_argument("--probe", action="store_true",
+                        help="also print this host's real-backend table")
+    cli.add_chrome(parser, "export the GIL-mode convoy run as a Chrome trace")
 
+
+def main(args) -> int:
+    """Print the ablation and the convoy run; optionally the probe."""
+    gil = GilConfig(switch_interval_cycles=args.switch_interval,
+                    acquire_cost=args.acquire_cost)
     print("the GIL ablation — simulated interpreter lock")
     print("=" * 52)
     print()
-    for line in _ablation(threads, gil):
+    for line in _ablation(args.threads, gil):
         print(line)
     print()
-    recorder = None
-    if chrome_path is not None:
-        from repro.obs.recorder import TraceRecorder
-        recorder = TraceRecorder()
-    convoy_lines, _machine = _convoy(gil, recorder=recorder)
-    for line in convoy_lines:
-        print(line)
-    if chrome_path is not None:
-        from repro.obs.chrome import write_chrome
-        count = write_chrome(recorder, chrome_path)
-        print()
-        print(f"wrote {count} Chrome trace events to {chrome_path} "
-              "(load in https://ui.perfetto.dev; see the GIL lane)")
-    if probe:
+    with cli.chrome_trace(args.chrome) as recorder:
+        convoy_lines, _machine = _convoy(gil, recorder=recorder)
+        for line in convoy_lines:
+            print(line)
+    if args.probe:
         print()
         for line in _probe_table():
             print(line)
     return 0
+
+
+def run(argv: list[str]) -> int:
+    """``python -m repro gil ARGV``; returns the exit status."""
+    return cli.run_command("gil", argv)

@@ -176,10 +176,10 @@ class GilConfig:
     acquire_cost: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.switch_interval_cycles <= 0:
-            raise ConcurrencyError("switch interval must be positive")
-        if self.acquire_cost < 0:
-            raise ConcurrencyError("acquire cost cannot be negative")
+        if not 0 < self.switch_interval_cycles < math.inf:
+            raise ConcurrencyError("switch interval must be finite and > 0")
+        if not 0 <= self.acquire_cost < math.inf:
+            raise ConcurrencyError("acquire cost must be finite and >= 0")
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """``python -m repro trace`` — trace a demo workload and profile it.
 
-Each demo drives one simulator with a shared :class:`TraceRecorder`
-attached; ``all`` runs every demo into a single recorder so the tracks
-sit side by side in the viewer. The profile report always prints;
-``--chrome OUT.json`` additionally writes a validated Chrome trace::
+Each demo drives one simulator with a shared trace recorder attached;
+``all`` runs every demo into a single recorder so the tracks sit side by
+side in the viewer. The profile report always prints; ``--chrome
+OUT.json`` additionally writes a validated Chrome trace. ``--sample``
+and ``--counters-only`` set the recording policy (see
+``repro.obs.recorder``)::
 
     python -m repro trace isa
     python -m repro trace all --chrome trace.json --top 5
@@ -13,28 +15,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.obs.chrome import write_chrome
+from repro import cli
 from repro.obs.recorder import TraceRecorder
 from repro.obs.report import profile_report
-
-USAGE = """\
-usage: python -m repro trace DEMO [--chrome OUT.json] [--top N]
-                                  [--sample N] [--counters-only]
-                                  [--capacity K]
-
-demos: {demos}
-
-Runs the demo with a trace recorder attached to every simulator it
-touches, prints the text profile, and (with --chrome) writes a
-Perfetto-loadable Chrome trace-event JSON file.
-
-Recording policy (see repro.obs.recorder):
-  --sample N        keep 1 in N events per category (exact dropped
-                    accounting; durable B/E nesting always kept)
-  --counters-only   fold every category into aggregate counters —
-                    near-zero storage, final values still exact
-  --capacity K      ring-buffer capacity in events (default 65536)"""
-
 
 # -- demo workloads (each returns a one-line summary) -----------------------
 
@@ -150,73 +133,43 @@ DEMOS: dict[str, Callable[[TraceRecorder], str]] = {
 }
 
 
-def run(argv: list[str]) -> int:
-    usage = USAGE.format(demos=", ".join([*DEMOS, "all"]))
-    demo = None
-    chrome_path = None
-    top = 10
-    sample = None
-    counters_only = False
-    capacity = 65536
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg in ("-h", "--help"):
-            print(usage)
-            return 0
-        if arg == "--chrome":
-            if not args:
-                print("error: --chrome needs a file path")
-                return 2
-            chrome_path = args.pop(0)
-        elif arg == "--top":
-            if not args or not args[0].lstrip("-").isdigit():
-                print("error: --top needs an integer")
-                return 2
-            top = int(args.pop(0))
-        elif arg == "--sample":
-            if not args or not args[0].isdigit() or int(args[0]) < 2:
-                print("error: --sample needs an integer >= 2")
-                return 2
-            sample = int(args.pop(0))
-        elif arg == "--counters-only":
-            counters_only = True
-        elif arg == "--capacity":
-            if not args or not args[0].isdigit() or int(args[0]) < 1:
-                print("error: --capacity needs a positive integer")
-                return 2
-            capacity = int(args.pop(0))
-        elif arg.startswith("-"):
-            print(f"error: unknown option {arg!r}\n{usage}")
-            return 2
-        elif demo is None:
-            demo = arg
-        else:
-            print(f"error: unexpected argument {arg!r}\n{usage}")
-            return 2
-    if demo is None:
-        print(usage)
-        return 2
-    if demo != "all" and demo not in DEMOS:
-        print(f"error: unknown demo {demo!r}\n{usage}")
-        return 2
+def add_arguments(parser) -> None:
+    """Declare ``trace``'s options; ``--sample`` and ``--counters-only``
+    both set ``args.policies``, the recorder's policy for every category."""
+    demos = (*DEMOS, "all")
+    parser.add_argument("demo", metavar="DEMO",
+                        type=cli.choice("demo", demos),
+                        help=f"one of {', '.join(demos)}")
+    cli.add_chrome(parser, "also write a validated Chrome trace")
+    parser.add_argument("--top", type=cli.positive_int, default=10,
+                        metavar="N", help="rows per profile table "
+                                          "(default: 10)")
+    policy = parser.add_mutually_exclusive_group()
+    policy.add_argument("--sample", dest="policies", metavar="N",
+                        type=cli.checked(lambda text: {"*": int(text)},
+                                         lambda policy: policy["*"] >= 2,
+                                         "{!r} is not an integer >= 2"),
+                        help="keep 1 in N events per category")
+    policy.add_argument("--counters-only", dest="policies",
+                        action="store_const", const={"*": "counters"},
+                        help="keep only aggregate counters (exact totals)")
+    parser.add_argument("--capacity", type=cli.positive_int, default=65536,
+                        metavar="K", help="ring-buffer capacity in events "
+                                          "(default: 65536)")
 
-    if counters_only and sample is not None:
-        print("error: --sample and --counters-only are exclusive")
-        return 2
-    policies = None
-    if counters_only:
-        policies = {"*": "counters"}
-    elif sample is not None:
-        policies = {"*": sample}
-    recorder = TraceRecorder(capacity=capacity, policies=policies)
-    names = list(DEMOS) if demo == "all" else [demo]
-    for name in names:
-        print(DEMOS[name](recorder))
-    print()
-    print(profile_report(recorder, top=top))
-    if chrome_path is not None:
-        count = write_chrome(recorder, chrome_path)
-        print(f"\nwrote {count} Chrome trace events to {chrome_path} "
-              "(load in https://ui.perfetto.dev)")
+
+def main(args) -> int:
+    """Run the demo(s) into one recorder and print the profile."""
+    recorder = TraceRecorder(capacity=args.capacity, policies=args.policies)
+    names = list(DEMOS) if args.demo == "all" else [args.demo]
+    with cli.chrome_trace(args.chrome, recorder):
+        for name in names:
+            print(DEMOS[name](recorder))
+        print()
+        print(profile_report(recorder, top=args.top))
     return 0
+
+
+def run(argv: list[str]) -> int:
+    """``python -m repro trace ARGV``; returns the exit status."""
+    return cli.run_command("trace", argv)

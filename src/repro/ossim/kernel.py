@@ -134,6 +134,8 @@ class Kernel:
         the process exits with ``%eax``; the bus then releases its
         frames via ``destroy_process``.
         """
+        if batch < 1:
+            raise OsError_("batch must be >= 1")
         from repro.isa.machine import Machine
         pid = self.spawn(name, [], ppid=ppid)
         bus.create_process(pid)

@@ -13,103 +13,47 @@ per-process exit statuses)::
 
 from __future__ import annotations
 
-from repro.errors import ReproError
+from argparse import BooleanOptionalAction
+
+from repro import cli
 from repro.system.bus import BUS_KINDS
 from repro.system.runner import load_program, run_system
 
-USAGE = """\
-usage: python -m repro run PROG.c|PROG.s [options]
 
-options:
-  --bus {flat,cached,virtual}   memory bus to run over (default: flat)
-  --procs N                     processes to timeshare (virtual bus only)
-  --timeslice N                 scheduler units per quantum (default: 2)
-  --batch N                     instructions per scheduler unit (default: 100)
-  --max-steps N                 per-run instruction cap (default: 1000000)
-  --entry NAME                  entry label (default: main)
-  --jit / --no-jit              superblock-JIT hot code (default: on;
-                                every reported number is identical
-                                either way, only wall-clock changes)
-  --opt / --no-opt              run the translation-validated optimizer
-                                pipeline first (default: off; final
-                                machine state is proved unchanged)
-  --trace OUT.json              also write a Chrome trace of the run
-  --chrome OUT.json             alias for --trace
+def add_arguments(parser) -> None:
+    """Declare ``run``'s options; the defaults are :func:`run_system`'s."""
+    parser.add_argument("prog", metavar="PROG.c|PROG.s",
+                        help="C-subset or assembly source to run")
+    parser.add_argument("--bus", choices=BUS_KINDS, default="flat",
+                        help="memory bus to run over (default: flat)")
+    for flag, default, text in (
+            ("--procs", 1, "processes to timeshare, virtual bus only"),
+            ("--timeslice", 2, "scheduler units per quantum"),
+            ("--batch", 100, "instructions per scheduler unit"),
+            ("--max-steps", 1_000_000, "per-run instruction cap")):
+        parser.add_argument(flag, type=cli.positive_int, default=default,
+                            metavar="N", help=f"{text} (default: {default})")
+    parser.add_argument("--entry", default="main", metavar="NAME",
+                        help="entry label (default: main)")
+    parser.add_argument("--jit", action=BooleanOptionalAction, default=True,
+                        help="JIT hot code (default: on)")
+    parser.add_argument("--opt", action=BooleanOptionalAction, default=False,
+                        help="run the checked optimizer first (default: off)")
+    cli.add_chrome(parser, "also write a Chrome trace of the run", "--trace")
 
-Compiles PROG with the course's C-subset compiler, runs it through the
-selected memory hierarchy, and prints instructions, cycles, CPI, and
-the cache/TLB/page-fault breakdown from the same run. Tracing composes
-with the JIT (block-level spans) and costs <1.2x on the hot loops."""
 
-_INT_OPTS = {"--procs": "procs", "--timeslice": "timeslice",
-             "--batch": "batch", "--max-steps": "max_steps"}
+def main(args) -> int:
+    """Load, run and report ``args.prog``; write the trace if asked."""
+    with cli.chrome_trace(args.chrome) as recorder:
+        program = load_program(args.prog, entry=args.entry)
+        report = run_system(program, recorder=recorder, bus=args.bus,
+                            procs=args.procs, timeslice=args.timeslice,
+                            batch=args.batch, max_steps=args.max_steps,
+                            entry=args.entry, jit=args.jit, opt=args.opt)
+        print(report.render())
+    return 0
 
 
 def run(argv: list[str]) -> int:
-    prog_path = None
-    chrome_path = None
-    kwargs: dict = {"bus": "flat"}
-    args = list(argv)
-    while args:
-        arg = args.pop(0)
-        if arg in ("-h", "--help"):
-            print(USAGE)
-            return 0
-        if arg == "--bus":
-            if not args or args[0] not in BUS_KINDS:
-                print(f"error: --bus needs one of {', '.join(BUS_KINDS)}")
-                return 2
-            kwargs["bus"] = args.pop(0)
-        elif arg == "--entry":
-            if not args:
-                print("error: --entry needs a label name")
-                return 2
-            kwargs["entry"] = args.pop(0)
-        elif arg == "--jit":
-            kwargs["jit"] = True
-        elif arg == "--no-jit":
-            kwargs["jit"] = False
-        elif arg == "--opt":
-            kwargs["opt"] = True
-        elif arg == "--no-opt":
-            kwargs["opt"] = False
-        elif arg in ("--trace", "--chrome"):
-            if not args:
-                print(f"error: {arg} needs a file path")
-                return 2
-            chrome_path = args.pop(0)
-        elif arg in _INT_OPTS:
-            if not args or not args[0].isdigit():
-                print(f"error: {arg} needs a positive integer")
-                return 2
-            kwargs[_INT_OPTS[arg]] = int(args.pop(0))
-        elif arg.startswith("-"):
-            print(f"error: unknown option {arg!r}\n{USAGE}")
-            return 2
-        elif prog_path is None:
-            prog_path = arg
-        else:
-            print(f"error: unexpected argument {arg!r}\n{USAGE}")
-            return 2
-    if prog_path is None:
-        print(USAGE)
-        return 2
-
-    recorder = None
-    if chrome_path is not None:
-        from repro.obs.recorder import TraceRecorder
-        recorder = TraceRecorder()
-    try:
-        program = load_program(prog_path,
-                               entry=kwargs.get("entry", "main"))
-        report = run_system(program, recorder=recorder, **kwargs)
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
-    print(report.render())
-    if chrome_path is not None:
-        from repro.obs.chrome import write_chrome
-        count = write_chrome(recorder, chrome_path)
-        print(f"\nwrote {count} Chrome trace events to {chrome_path} "
-              "(load in https://ui.perfetto.dev)")
-    return 0
+    """``python -m repro run ARGV``; returns the exit status."""
+    return cli.run_command("run", argv)

@@ -216,6 +216,23 @@ class TestValidator:
         regs1.pop("eip")
         assert (s1, regs1, flags1) == (s0, regs0, flags0)
 
+    @pytest.mark.parametrize("resize", [
+        lambda blocks: blocks[:-1],
+        lambda blocks: blocks + [blocks[-1].copy()],
+        lambda blocks: [blocks[-1].copy()] + blocks,
+    ], ids=["drops-a-block", "appends-a-block", "prepends-a-block"])
+    def test_pass_changing_block_count_rejected_whole(self, resize):
+        def resizing(blocks, ctx):
+            return resize(blocks), 1
+
+        program = program_from_source(
+            (REPO / "examples" / "c" / "sum.c").read_text())
+        result = optimize_program(program, passes=[resizing], rounds=2)
+        assert [str(i) for i in result.program.instructions] == \
+            [str(i) for i in program.instructions]
+        assert [r.reason for r in result.rejections] == \
+            ["block count changed"] * 2
+
     def test_validate_blocks_flags_changed_semantics(self):
         src = ("main:\n"
                "  movl $1, %eax\n"

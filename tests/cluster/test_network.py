@@ -25,6 +25,20 @@ class TestCostModel:
         with pytest.raises(ClusterError):
             cost.wire_cycles(0, 1, 8)
 
+    @pytest.mark.parametrize("field", ["latency", "send_overhead",
+                                       "recv_overhead", "bandwidth"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_rejected_at_construction(self, field,
+                                                             value):
+        with pytest.raises(ClusterError, match=field):
+            NetworkCostModel(**{field: value})
+
+    def test_zero_bandwidth_rejected_zero_latency_allowed(self):
+        with pytest.raises(ClusterError):
+            NetworkCostModel(bandwidth=0.0)
+        assert NetworkCostModel(latency=0.0, send_overhead=0.0,
+                                recv_overhead=0.0).barrier_cycles(4) == 0.0
+
     def test_barrier_cycles_log_tree(self):
         cost = NetworkCostModel(latency=10.0)
         assert cost.barrier_cycles(1) == 0.0

@@ -47,6 +47,11 @@ class TestGilConfig:
             GilConfig(switch_interval_cycles=-1)
         with pytest.raises(ConcurrencyError):
             GilConfig(acquire_cost=-1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConcurrencyError):
+                GilConfig(switch_interval_cycles=bad)
+            with pytest.raises(ConcurrencyError):
+                GilConfig(acquire_cost=bad)
         with pytest.raises(ConcurrencyError):
             IoWait(-1)
 

@@ -9,6 +9,7 @@ events the obs layer recorded during the same run.
 
 import pytest
 
+from repro.errors import OsError_, ReproError
 from repro.isa.assembler import assemble
 from repro.isa.ccompiler import compile_c
 from repro.obs.recorder import TraceRecorder
@@ -86,6 +87,20 @@ class TestTwoProcesses:
         assert kernel.exit_status_of(bad) == 128 + 9       # SIGKILL style
         assert kernel.exit_status_of(good) == 21           # unharmed
         assert bus.pids() == []                            # both cleaned up
+
+
+class TestBatchGuard:
+    def test_exec_binary_rejects_batch_below_one(self, programs):
+        bus = VirtualBus()
+        kernel = Kernel()
+        with pytest.raises(OsError_, match="batch"):
+            kernel.exec_binary("a", programs[0], bus=bus, batch=0)
+        assert bus.pids() == []            # nothing half-loaded
+
+    def test_run_system_batch_zero_is_a_repro_error(self, programs):
+        # max_steps // batch would otherwise divide by zero
+        with pytest.raises(ReproError):
+            run_system(programs[0], bus="virtual", batch=0)
 
 
 class TestReportMatchesObs:
