@@ -54,7 +54,9 @@ constraint, pinned by the differential tests:
   appends a ``(kind, address, size)`` tuple to a pending list that is
   replayed in one ``replay_block`` call per block, where the vectorized
   engines (``CacheHierarchy.simulate_arrays``, ``MMU.translate_many``)
-  replace per-access scalar simulation. Pending accounting is flushed
+  replace per-access scalar simulation; where they fall back to one
+  access at a time, they run ``Cache.probe`` and ``MMU.translate``,
+  the one transition each structure has. Pending accounting is flushed
   before any interpreted instruction and on every fault, so the
   hierarchy always sees the exact scalar access sequence.
 
@@ -72,7 +74,7 @@ and instructions the dispatcher still interprets record one span each
 — all batched through the recorder's bulk-append path, so tracing
 costs the dispatch loop two list appends per block entry. That is the
 JIT's span granularity: per-instruction ``eip`` args (and fetch
-instants) exist only on the interpreter paths.
+instants) exist only in the interpreter's run loop and ``step()``.
 """
 
 from __future__ import annotations

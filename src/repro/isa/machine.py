@@ -390,110 +390,93 @@ class Machine:
         """Run to completion; returns %eax as a signed int (C return value).
 
         Dispatches through the predecoded handler table rather than
-        :meth:`step`'s interpreting ``if/elif`` chain; the
-        ``record_fetches`` branch is resolved once outside the loop.
-        :meth:`step` remains the step-by-step oracle — the differential
-        tests pin both paths to identical final state, faults, and
-        fetch traces.
+        :meth:`step`'s interpreting ``if/elif`` chain. :meth:`step`
+        and :meth:`_execute` remain the reference the differential
+        tests pin this loop to: identical final state, faults, fetch
+        traces and recorded events.
 
         With ``jit=True`` (or a machine built with ``jit=True``) hot
         code additionally compiles to superblocks (see
         :mod:`repro.isa.jit`) — same observable behaviour, pinned by
         the same oracle tests.
         """
-        use_jit = self.jit if jit is None else jit
-        if use_jit:
-            engine = self._jit()
-            if engine is not None:
-                return engine.run(self, max_steps)
-        if self.recorder.enabled:
-            self._run_traced(max_steps)
-        else:
-            self._run_predecoded(max_steps)
+        self._run(max_steps, jit, raise_on_limit=True)
         return self.regs.get_signed("eax")
 
-    def _run_predecoded(self, max_steps: int, *,
-                        raise_on_limit: bool = True) -> None:
-        """The untraced handler-table loop behind :meth:`run` and
-        :meth:`run_slice`: at ``max_steps`` it raises, or with
-        ``raise_on_limit=False`` just stops."""
-        handlers = self._predecode()
-        regs = self.regs
-        record = self.record_fetches
-        fetch = self.space.fetch
-        steps = self.steps
-        try:
-            while not self.halted:
-                if steps >= max_steps:
-                    if not raise_on_limit:
-                        break
-                    raise MachineFault(
-                        "step limit exceeded (infinite loop?)")
-                eip = regs.eip
-                handler = handlers.get(eip)
-                if handler is None:
-                    raise MachineFault(_fell_off(eip, steps))
-                if record:
-                    fetch(eip, INSTRUCTION_SIZE)
-                next_eip = handler(self, eip + INSTRUCTION_SIZE)
-                if next_eip == SENTINEL_RETURN:
-                    self.halted = True
-                regs.eip = next_eip & MASK32
-                steps += 1
-        finally:
-            self.steps = steps
+    def run_slice(self, limit: int, *, jit: bool | None = None) -> int:
+        """Execute up to ``limit`` instructions; returns how many ran.
 
-    def _run_traced(self, max_steps: int, *,
-                    raise_on_limit: bool = True) -> None:
-        """:meth:`_run_predecoded` with per-instruction span recording.
+        The kernel's timeslice primitive: :meth:`run`'s loop, which
+        stops early on halt, raises on faults like :meth:`step`, and
+        never raises for hitting the limit.
+        """
+        before = self.steps
+        self._run(before + limit, jit, raise_on_limit=False)
+        return self.steps - before
 
-        Identical state transitions to the untraced loop (the oracle
-        tests pin both). The per-step cost is two list appends: spans
-        (and fetch instants, when ``record_fetches``) accumulate in
-        plain lists and land in the recorder's structured-array ring in
-        :data:`TRACE_CHUNK`-sized bulk appends — one numpy slice
+    def _run(self, max_steps: int, jit: bool | None, *,
+             raise_on_limit: bool) -> None:
+        """The one run loop behind :meth:`run` and :meth:`run_slice`:
+        at ``max_steps`` it raises, or with ``raise_on_limit=False``
+        just stops.
+
+        With the JIT on (``jit``, or the machine's setting when None)
+        and applicable, the engine's block dispatch runs instead.
+        Otherwise each step calls the instruction's predecoded handler.
+        With the recorder enabled the loop also records, at one list
+        append per step: spans (and fetch instants, when
+        ``record_fetches``) land in the recorder's structured-array ring
+        in :data:`TRACE_CHUNK`-sized bulk appends — one numpy slice
         assignment per column instead of one event object per step.
         Flushes happen before any fault instant and on exit, so spans
         keep execution order among themselves, and so do fetch instants;
         within one chunk the fetches are listed before the spans. The
-        label ids are interned on the first traced call only, so a
-        kernel's many short slices do not re-intern the program.
+        label ids are interned once per recorder, so a kernel's many
+        short slices do not re-intern the program.
         """
+        if self.jit if jit is None else jit:
+            engine = self._jit()
+            if engine is not None:
+                engine.run(self, max_steps, raise_on_limit=raise_on_limit)
+                return
         handlers = self._predecode()
         regs = self.regs
         record = self.record_fetches
         fetch = self.space.fetch
         rec = self.recorder
-        table = self._trace_ids
-        if (table is None or table[0] is not rec or table[1] is not handlers
-                or (record and table[6] < 0)):
-            table = self._trace_ids = (
-                rec, handlers,
-                {addr: rec.intern(ins.mnemonic)
-                 for addr, ins in self.program.by_address.items()},
-                rec.intern_track("isa", "cpu"), rec.intern("isa"),
-                rec.intern("eip"), rec.intern("fetch") if record else -1)
-        _, _, ids, track, cat, eip_key, fetch_id = table
-        chunk = TRACE_CHUNK
-        pending: list[int] = []                      # eips, in step order
-        append = pending.append
+        traced = rec.enabled
         steps = self.steps
-        base = steps                                 # ts of pending[0]
-        flush_at = base + chunk
+        if traced:
+            table = self._trace_ids
+            if (table is None or table[0] is not rec
+                    or table[1] is not handlers
+                    or (record and table[6] < 0)):
+                table = self._trace_ids = (
+                    rec, handlers,
+                    {addr: rec.intern(ins.mnemonic)
+                     for addr, ins in self.program.by_address.items()},
+                    rec.intern_track("isa", "cpu"), rec.intern("isa"),
+                    rec.intern("eip"),
+                    rec.intern("fetch") if record else -1)
+            _, _, ids, track, cat, eip_key, fetch_id = table
+            pending: list[int] = []                  # eips, in step order
+            append = pending.append
+            base = steps                             # ts of pending[0]
+            flush_at = base + TRACE_CHUNK
 
-        def flush() -> None:
-            nonlocal base, flush_at
-            if pending:
-                if record:
-                    rec.instant_run(fetch_id, base, track_id=track,
-                                    cat_id=cat, key_id=eip_key,
-                                    vals=pending)
-                rec.complete_run(list(map(ids.__getitem__, pending)),
-                                 base, track_id=track, cat_id=cat,
-                                 key_id=eip_key, vals=pending)
-                pending.clear()
-            base = steps
-            flush_at = base + chunk
+            def flush(now: int) -> None:
+                nonlocal base, flush_at
+                if pending:
+                    if record:
+                        rec.instant_run(fetch_id, base, track_id=track,
+                                        cat_id=cat, key_id=eip_key,
+                                        vals=pending)
+                    rec.complete_run(list(map(ids.__getitem__, pending)),
+                                     base, track_id=track, cat_id=cat,
+                                     key_id=eip_key, vals=pending)
+                    pending.clear()
+                base = now
+                flush_at = base + TRACE_CHUNK
 
         try:
             while not self.halted:
@@ -505,58 +488,41 @@ class Machine:
                 eip = regs.eip
                 handler = handlers.get(eip)
                 if handler is None:
-                    flush()
-                    rec.instant("fault", ts=steps, pid="isa", tid="cpu",
-                                cat="isa",
-                                args={"eip": eip,
-                                      "what": _fell_off(eip, steps)})
+                    if traced:
+                        flush(steps)
+                        rec.instant("fault", ts=steps, pid="isa", tid="cpu",
+                                    cat="isa",
+                                    args={"eip": eip,
+                                          "what": _fell_off(eip, steps)})
                     raise MachineFault(_fell_off(eip, steps))
                 if record:
                     fetch(eip, INSTRUCTION_SIZE)
                 try:
                     next_eip = handler(self, eip + INSTRUCTION_SIZE)
                 except BaseException as exc:
-                    flush()
-                    if record:       # fetched before it faulted, as in step()
-                        rec.instant("fetch", ts=steps, pid="isa", tid="cpu",
-                                    cat="isa", args={"eip": eip})
-                    if isinstance(exc, MachineFault):
-                        rec.instant("fault", ts=steps, pid="isa",
-                                    tid="cpu", cat="isa",
-                                    args={"eip": eip, "what": str(exc)})
+                    if traced:
+                        flush(steps)
+                        if record:   # fetched before it faulted, as in step()
+                            rec.instant("fetch", ts=steps, pid="isa",
+                                        tid="cpu", cat="isa",
+                                        args={"eip": eip})
+                        if isinstance(exc, MachineFault):
+                            rec.instant("fault", ts=steps, pid="isa",
+                                        tid="cpu", cat="isa",
+                                        args={"eip": eip, "what": str(exc)})
                     raise
-                steps += 1
-                append(eip)
-                if steps >= flush_at:
-                    flush()
                 if next_eip == SENTINEL_RETURN:
                     self.halted = True
                 regs.eip = next_eip & MASK32
+                steps += 1
+                if traced:
+                    append(eip)
+                    if steps >= flush_at:
+                        flush(steps)
         finally:
             self.steps = steps
-            flush()
-
-    def run_slice(self, limit: int, *, jit: bool | None = None) -> int:
-        """Execute up to ``limit`` instructions; returns how many ran.
-
-        The kernel's timeslice primitive: stops early on halt, raises
-        on faults like :meth:`step`, and never raises for hitting the
-        limit. Interpreted slices run :meth:`run`'s predecoded handler
-        loop, traced or not; with JIT enabled, whole superblocks execute
-        per dispatch.
-        """
-        before = self.steps
-        use_jit = self.jit if jit is None else jit
-        if use_jit:
-            engine = self._jit()
-            if engine is not None:
-                engine.run(self, before + limit, raise_on_limit=False)
-                return self.steps - before
-        if self.recorder.enabled:
-            self._run_traced(before + limit, raise_on_limit=False)
-        else:
-            self._run_predecoded(before + limit, raise_on_limit=False)
-        return self.steps - before
+            if traced:
+                flush(steps)
 
     def call(self, label: str, *args: int,
              max_steps: int = 1_000_000) -> int:

@@ -142,6 +142,9 @@ class Cache:
         self.stats = CacheStats()
         self._clock = 0
         self._set_rngs: dict[int, random.Random] = {}
+        #: old (tag, dirty) of the line the last allocating miss
+        #: replaced, None if the way was empty (read by access())
+        self._evicted: tuple[int, bool] | None = None
         #: shared trace recorder (see repro.obs); NULL_RECORDER when off
         self.recorder = coalesce(recorder)
         self.trace_name = trace_name
@@ -174,77 +177,36 @@ class Cache:
     # -- core access ---------------------------------------------------------
 
     def access(self, address: int, kind: AccessKind = "load") -> AccessResult:
-        """Perform one load/store; returns what happened (hit, eviction...)."""
-        self._clock += 1
+        """Perform one load/store; returns what happened (hit, eviction...).
+
+        A view over :meth:`probe`, which makes the transition: the row
+        is read back from its hit, the write policy (a store miss
+        without write-allocate bypasses the cache) and the old contents
+        of the victim line a miss filled.
+        """
+        hit = self.probe(address, kind)
         parts = self.layout.divide(address)
-        ways = self.sets[parts.index]
-
-        # hit?
-        for line in ways:
-            if line.valid and line.tag == parts.tag:
-                line.last_used = self._clock
-                if kind == "store":
-                    self.stats.store_hits += 1
-                    if self.config.write_policy == "write-back":
-                        line.dirty = True
-                    else:
-                        self.stats.memory_writes += 1
-                else:
-                    self.stats.load_hits += 1
-                if self.recorder.enabled:
-                    self._record_counters()
-                return AccessResult(address, kind, parts, hit=True)
-
-        # miss
-        if kind == "store":
-            self.stats.store_misses += 1
-            if not self.config.write_allocate:
-                self.stats.memory_writes += 1
-                if self.recorder.enabled:
-                    self._record_counters()
-                return AccessResult(address, kind, parts, hit=False,
-                                    bypassed=True)
-        else:
-            self.stats.load_misses += 1
-
-        victim = self._choose_victim(ways, parts.index)
-        evicted_tag = victim.tag if victim.valid else None
-        wrote_back = False
-        if victim.valid:
-            self.stats.evictions += 1
-            if victim.dirty:
-                wrote_back = True
-                self.stats.writebacks += 1
-                self.stats.memory_writes += 1
-        victim.valid = True
-        victim.tag = parts.tag
-        victim.last_used = self._clock
-        victim.loaded_at = self._clock
-        victim.dirty = False
-        if kind == "store":
-            if self.config.write_policy == "write-back":
-                victim.dirty = True
-            else:
-                self.stats.memory_writes += 1
-        if self.config.prefetch_next_line and kind == "load":
-            self._prefetch(address + self.config.block_size)
-        if self.recorder.enabled:
-            self._record_counters(evicted=evicted_tag is not None)
+        if hit:
+            return AccessResult(address, kind, parts, hit=True)
+        if kind == "store" and not self.config.write_allocate:
+            return AccessResult(address, kind, parts, hit=False,
+                                bypassed=True)
+        tag, dirty = self._evicted or (None, False)
         return AccessResult(address, kind, parts, hit=False,
-                            evicted_tag=evicted_tag, wrote_back=wrote_back)
+                            evicted_tag=tag, wrote_back=dirty)
 
     def probe(self, address: int, kind: AccessKind = "load") -> bool:
-        """Perform one load/store like :meth:`access`; return only the hit.
+        """Perform one load/store; return only whether it hit.
 
-        The scalar fast path the memory buses take on every access:
-        exactly :meth:`access`'s transitions (clock tick before the
-        bounds check, victim choice and per-set RNG draws, write
-        policy, prefetch, counter samples), without building an
-        :class:`AccessResult` or :class:`AddressParts`. Every batch
-        path reaches line state through it too: :meth:`access_many`,
-        the hierarchy's prefetch-level fallback, and the run heads of
-        the vectorized engine's skewed-trace replay. :meth:`access`
-        stays the oracle that homework checkers read row by row.
+        The cache's one transition: clock tick before the bounds check,
+        hit scan, write policy, victim choice and per-set RNG draws,
+        prefetch and counter samples. On an allocating miss it leaves
+        the victim's old ``(tag, dirty)`` (None for an empty way) in
+        ``_evicted``. The memory buses call it on every access, and
+        every other path reaches line state through it:
+        :meth:`access` builds its :class:`AccessResult` over it, and
+        :meth:`access_many`, the hierarchy and the run heads of the
+        vectorized engine's skewed-trace replay loop over it.
         """
         self._clock += 1
         if not 0 <= address < self._address_limit:
@@ -283,13 +245,9 @@ class Cache:
         else:
             stats.load_misses += 1
 
-        victim = self._choose_victim(ways, index)
+        victim = self._evict(ways, index)
         evicted = victim.valid
-        if evicted:
-            stats.evictions += 1
-            if victim.dirty:
-                stats.writebacks += 1
-                stats.memory_writes += 1
+        self._evicted = (victim.tag, victim.dirty) if evicted else None
         victim.valid = True
         victim.tag = tag
         victim.last_used = clock
@@ -308,27 +266,43 @@ class Cache:
 
     def _prefetch(self, address: int) -> None:
         """Fill a block without counting it as a demand access."""
-        if address >= (1 << self.config.address_bits):
+        if address >= self._address_limit:
             return
-        parts = self.layout.divide(address)
-        ways = self.sets[parts.index]
+        tag = address >> self._tag_shift
+        index = (address >> self._offset_bits) & self._index_mask
+        ways = self.sets[index]
         for line in ways:
-            if line.valid and line.tag == parts.tag:
+            if line.valid and line.tag == tag:
                 return   # already resident
-        victim = self._choose_victim(ways, parts.index)
-        if victim.valid:
-            self.stats.evictions += 1
-            if victim.dirty:
-                self.stats.writebacks += 1
-                self.stats.memory_writes += 1
+        victim = self._evict(ways, index)
         victim.valid = True
-        victim.tag = parts.tag
+        victim.tag = tag
         victim.dirty = False
         # prefetched lines enter cold (LRU within the set), so a useless
         # prefetch is the first thing evicted
         victim.loaded_at = self._clock
         victim.last_used = 0
         self.stats.prefetches += 1
+
+    def _evict(self, ways: list[Line], index: int) -> Line:
+        """Choose the way a fill of set ``index`` replaces, and count its
+        eviction and write-back; the caller fills it."""
+        for line in ways:
+            if not line.valid:
+                return line
+        policy = self.config.replacement
+        if policy == "lru":
+            victim = min(ways, key=lambda l: l.last_used)
+        elif policy == "fifo":
+            victim = min(ways, key=lambda l: l.loaded_at)
+        else:
+            victim = ways[self._set_rng(index).randrange(len(ways))]
+        stats = self.stats
+        stats.evictions += 1
+        if victim.dirty:
+            stats.writebacks += 1
+            stats.memory_writes += 1
+        return victim
 
     def _set_rng(self, index: int) -> random.Random:
         """The ``random`` policy's per-set RNG stream.
@@ -345,17 +319,6 @@ class Cache:
             rng = self._set_rngs[index] = random.Random(
                 self.config.seed * 1_000_003 + index)
         return rng
-
-    def _choose_victim(self, ways: list[Line], index: int) -> Line:
-        for line in ways:
-            if not line.valid:
-                return line
-        policy = self.config.replacement
-        if policy == "lru":
-            return min(ways, key=lambda l: l.last_used)
-        if policy == "fifo":
-            return min(ways, key=lambda l: l.loaded_at)
-        return ways[self._set_rng(index).randrange(len(ways))]
 
     # -- drivers -----------------------------------------------------------------
 
@@ -375,10 +338,10 @@ class Cache:
                     ) -> CacheStats:
         """Run a whole trace aggregating stats only.
 
-        A loop over :meth:`probe`: exactly the state transitions
-        :meth:`access` makes (same hits, evictions, clock, RNG draws —
-        tests assert bit-equality with the step-by-step API), with one
-        counter sample per batch instead of one per access. Returns the
+        A loop over :meth:`probe`, the transition :meth:`access` also
+        runs, so hits, evictions, clock and RNG draws are the
+        step-by-step API's, with one counter sample per batch instead
+        of one per access. Returns the
         cache's cumulative :class:`CacheStats`. Keep using
         :meth:`access`/:meth:`run_trace` when the per-access rows matter
         (homework checkers), and :meth:`simulate_trace` for long traces.

@@ -45,22 +45,15 @@ class CacheHierarchy:
 
     def access(self, address: int, kind: AccessKind = "load"
                ) -> HierarchyAccess:
-        """Probe levels in order; fill every missed level on the way."""
-        for i, cache in enumerate(self.levels):
-            result = cache.access(address, kind)
-            if result.hit:
-                return HierarchyAccess(address, kind, hit_level=i)
-        self.memory_accesses += 1
-        return HierarchyAccess(address, kind, hit_level=-1)
+        """Probe levels in order; fill every missed level on the way.
+
+        The row view over :meth:`probe`."""
+        return HierarchyAccess(address, kind, self.probe(address, kind))
 
     def probe(self, address: int, kind: AccessKind = "load") -> int:
-        """:meth:`access` without the record: just the hit level.
-
-        The same level probes in the same order (each through
-        :meth:`Cache.probe`), so every level's state and the memory
-        access count match :meth:`access` exactly; returns the 0-based
-        level that hit, or -1 for main memory.
-        """
+        """Probe levels in order (each through :meth:`Cache.probe`),
+        filling every missed level; returns the 0-based level that hit,
+        or -1 for main memory."""
         for i, cache in enumerate(self.levels):
             if cache.probe(address, kind):
                 return i

@@ -106,6 +106,8 @@ class MMU:
         self.stats = MmuStats()
         self._clock = 0
         self._ctr_series = None   # trace handle, resolved on first use
+        #: (evicted, wrote_back) of the last page fault (read by access())
+        self._fault: tuple[tuple[int, int] | None, bool] = (None, False)
 
     # -- process management ----------------------------------------------------
 
@@ -163,31 +165,55 @@ class MMU:
 
     def access(self, vaddr: int, *, write: bool = False,
                pid: int | None = None) -> Translation:
-        """Translate and 'perform' one access for the current process."""
+        """Translate and 'perform' one access for the current process
+        (after a context switch to ``pid``, if given).
+
+        The row view over :meth:`translate`, which makes the transition;
+        a page fault's eviction is read back from it.
+        """
         if pid is not None:
             self.context_switch(pid)
-        if self.current_pid is None:
-            raise VmError("no process is running")
+        paddr, tlb_hit, page_fault = self.translate(vaddr, write)
+        evicted, wrote_back = self._fault if page_fault else (None, False)
+        return Translation(self.current_pid, vaddr,
+                           vaddr >> self._offset_bits,
+                           paddr >> self._offset_bits, paddr,
+                           tlb_hit=tlb_hit, page_fault=page_fault,
+                           evicted=evicted, wrote_back=wrote_back)
+
+    def translate(self, vaddr: int, write: bool = False
+                  ) -> tuple[int, bool, bool]:
+        """Translate one access for the current process; returns
+        ``(paddr, tlb_hit, page_fault)``.
+
+        The MMU's one transition, in order: protection check, TLB hit
+        (recency, hit count), clock and stats; on a TLB miss, the miss
+        count, the page-table walk, the fault handler, the page-fault
+        instant and the TLB fill; then frame touch, referenced/dirty
+        bits and the counter sample. A fault's ``(evicted,
+        wrote_back)`` is kept for :meth:`access` to read back. The
+        virtual bus calls it on every access; :meth:`access` builds the
+        homework's :class:`Translation` row over it.
+        """
         pid = self.current_pid
-        table = self._table(pid)
-        vpn, offset = self.split(vaddr)
-        entry = table.check_access(vpn, write=write)
+        if pid is None:
+            raise VmError("no process is running")
+        vpn = vaddr >> self._offset_bits
+        entry = self.page_tables[pid].check_access(vpn, write=write)
+        frame = self.tlb.hit(pid, vpn)
         self._clock += 1
         self.stats.accesses += 1
-
-        frame = self.tlb.lookup(pid, vpn)
         tlb_hit = frame is not None
         page_fault = False
-        evicted = None
-        wrote_back = False
-
-        if frame is None:
+        if not tlb_hit:
+            self.tlb.lookup(pid, vpn)        # counts the miss
             if entry.valid:
                 frame = entry.frame
             else:
                 page_fault = True
                 self.stats.page_faults += 1
                 frame, evicted, wrote_back = self._handle_fault(pid, vpn)
+                self._fault = (evicted, wrote_back)
                 if self.recorder.enabled:
                     self.recorder.instant(
                         "page-fault", ts=self._clock, pid="vm",
@@ -196,42 +222,6 @@ class MMU:
                               "evicted": evicted,
                               "wrote_back": wrote_back})
             self.tlb.insert(pid, vpn, frame)
-
-        self.physical.touch(frame, self._clock)
-        entry.referenced = True
-        if write:
-            entry.dirty = True
-        if self.recorder.enabled:
-            self._record_counters()
-        return Translation(pid, vaddr, vpn, frame,
-                           paddr=(frame << self._offset_bits) | offset,
-                           tlb_hit=tlb_hit, page_fault=page_fault,
-                           evicted=evicted, wrote_back=wrote_back)
-
-    def translate(self, vaddr: int, write: bool = False
-                  ) -> tuple[int, bool, bool]:
-        """:meth:`access` for the current process, as a plain tuple.
-
-        Returns ``(paddr, tlb_hit, page_fault)``. A TLB hit — the common
-        case — makes :meth:`access`'s transitions (protection check
-        first, then TLB recency and hit count, clock and stats, frame
-        touch, referenced/dirty bits, counter samples, in the same
-        event order) without building a :class:`Translation`; a miss is
-        :meth:`access` itself, so faults, eviction and writeback have
-        one implementation. Use :meth:`access` when the whole record
-        matters (homework traces).
-        """
-        pid = self.current_pid
-        if pid is None:
-            raise VmError("no process is running")
-        vpn = vaddr >> self._offset_bits
-        entry = self.page_tables[pid].check_access(vpn, write=write)
-        frame = self.tlb.hit(pid, vpn)
-        if frame is None:
-            t = self.access(vaddr, write=write)
-            return t.paddr, False, t.page_fault
-        self._clock += 1
-        self.stats.accesses += 1
         self.physical.touch(frame, self._clock)
         entry.referenced = True
         if write:
@@ -239,7 +229,7 @@ class MMU:
         if self.recorder.enabled:
             self._record_counters()
         paddr = (frame << self._offset_bits) | (vaddr & (self.page_size - 1))
-        return paddr, True, False
+        return paddr, tlb_hit, page_fault
 
     def _record_counters(self) -> None:
         """One cumulative "vm" counter sample at the current clock."""
@@ -340,8 +330,9 @@ class MMU:
                     # run: replay it scalar so the fault lands exactly
                     # where the per-address walk raises it
                     for i in range(start, end):
-                        frames[i] = self.access(int(vaddrs[i]),
-                                                write=bool(writes[i])).frame
+                        paddr = self.translate(int(vaddrs[i]),
+                                               bool(writes[i]))[0]
+                        frames[i] = paddr >> self._offset_bits
                     continue
                 paddr = self.translate(int(vaddrs[start]),
                                        write=bool(run_writes[0]))[0]
