@@ -21,35 +21,12 @@ EdgeMode = Literal["torus", "bounded"]
 def neighbor_counts(grid: np.ndarray, mode: EdgeMode = "torus"
                     ) -> np.ndarray:
     """Count the eight neighbours of every cell, vectorised."""
-    if mode == "torus":
-        total = np.zeros_like(grid, dtype=np.int32)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr == 0 and dc == 0:
-                    continue
-                total += np.roll(np.roll(grid, dr, axis=0), dc, axis=1)
-        return total
-    if mode == "bounded":
-        padded = np.zeros((grid.shape[0] + 2, grid.shape[1] + 2),
-                          dtype=np.int32)
-        padded[1:-1, 1:-1] = grid
-        total = np.zeros_like(grid, dtype=np.int32)
-        for dr in (0, 1, 2):
-            for dc in (0, 1, 2):
-                if dr == 1 and dc == 1:
-                    continue
-                total += padded[dr:dr + grid.shape[0],
-                                dc:dc + grid.shape[1]]
-        return total
-    raise ReproError(f"unknown edge mode {mode!r}")
+    return band_neighbor_counts(grid, 0, grid.shape[0], mode)
 
 
 def step(grid: np.ndarray, mode: EdgeMode = "torus") -> np.ndarray:
     """One synchronous round of Conway's rules (B3/S23)."""
-    n = neighbor_counts(grid, mode)
-    born = (grid == 0) & (n == 3)
-    survives = (grid == 1) & ((n == 2) | (n == 3))
-    return (born | survives).astype(np.uint8)
+    return apply_rule(grid, neighbor_counts(grid, mode))
 
 
 def apply_rule(cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -66,11 +43,12 @@ def band_neighbor_counts(grid: np.ndarray, row_start: int, row_end: int,
     """Neighbour counts for rows [row_start, row_end) only.
 
     Touches just the band plus one halo row each side, so a parallel
-    worker pays O(band) instead of the O(grid) a full
-    :func:`neighbor_counts` would cost it — the difference between a
+    worker pays O(band) instead of O(grid) — the difference between a
     partitioned kernel and one that secretly redoes everyone's work.
-    Agrees exactly with ``neighbor_counts(grid, mode)[row_start:row_end]``.
+    The whole grid is the band ``[0, rows)``.
     """
+    if mode not in ("torus", "bounded"):
+        raise ReproError(f"unknown edge mode {mode!r}")
     rows, cols = grid.shape
     if not 0 <= row_start <= row_end <= rows:
         raise ReproError("band rows out of range")
@@ -83,12 +61,10 @@ def band_neighbor_counts(grid: np.ndarray, row_start: int, row_end: int,
         padded[:, 1:-1] = grid[halo_rows]
         padded[:, 0] = padded[:, -2]
         padded[:, -1] = padded[:, 1]
-    elif mode == "bounded":
+    else:
         lo = max(0, row_start - 1)
         hi = min(rows, row_end + 1)
         padded[lo - (row_start - 1):hi - (row_start - 1), 1:-1] = grid[lo:hi]
-    else:
-        raise ReproError(f"unknown edge mode {mode!r}")
     total = np.zeros((height, cols), dtype=np.int32)
     for dr in (0, 1, 2):
         for dc in (0, 1, 2):
@@ -103,22 +79,16 @@ def step_band(grid: np.ndarray, out: np.ndarray, row_start: int,
     """One round for rows [row_start, row_end) into ``out``, O(band).
 
     The strip-view kernel the shared-memory workers run in place every
-    generation: reads the band plus its halo rows from ``grid``, writes
-    only its own rows of ``out``, allocates nothing grid-sized.
+    generation, and a Lab 10 thread's kernel on its region: reads the
+    band plus its halo rows from ``grid``, writes only its own rows of
+    ``out``, allocates nothing grid-sized.
     """
     out[row_start:row_end] = apply_rule(
         grid[row_start:row_end],
         band_neighbor_counts(grid, row_start, row_end, mode))
 
 
-def step_rows(grid: np.ndarray, out: np.ndarray, row_start: int,
-              row_end: int, mode: EdgeMode = "torus") -> None:
-    """Compute one round for rows [row_start, row_end) into ``out``.
-
-    This is the kernel a Lab 10 thread runs on its region: it reads the
-    neighbouring rows across its boundaries but writes only its own rows.
-    """
-    step_band(grid, out, row_start, row_end, mode)
+step_rows = step_band
 
 
 def step_reference(grid: np.ndarray, mode: EdgeMode = "torus"
