@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+from repro.errors import ReproError
 
 
 def is_power_of_two(n: int) -> bool:
@@ -22,6 +25,17 @@ def mask(width: int) -> int:
     if width < 0:
         raise ValueError("width must be non-negative")
     return (1 << width) - 1
+
+
+def read_source(path: str | Path) -> str:
+    """A source file's text, decoded as UTF-8 whatever the locale; a
+    file that is not UTF-8 raises a :class:`ReproError` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReproError(f"{path} is not UTF-8 text (byte "
+                         f"{exc.object[exc.start]:#04x} at offset "
+                         f"{exc.start})") from None
 
 
 def chunked(seq: Sequence, size: int) -> Iterator[Sequence]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+from repro._util import read_source
 from repro.analysis.asmlint import lint_asm
 from repro.analysis.checks import analyze_c_source
 from repro.analysis.concurrency import analyze_python_source
@@ -22,13 +23,15 @@ from repro.analysis.report import (
     render_json,
     render_text,
 )
+from repro.errors import ReproError
 
 SUFFIXES = (".c", ".s", ".py")
 
 
 def analyze_file(path: Path) -> FileReport:
-    """Analyze one source file by suffix; unknown suffixes are clean."""
-    text = path.read_text(encoding="utf-8")
+    """Analyze one source file by suffix; unknown suffixes are clean.
+    A file that is not UTF-8 raises a :class:`ReproError` naming it."""
+    text = read_source(path)
     name = str(path)
     if path.suffix == ".c":
         return FileReport(name, analyze_c_source(text, name))
@@ -76,7 +79,8 @@ def run(argv: list[str]) -> int:
 
 def main(args) -> int:
     """Analyze every path and print the report; returns the exit status
-    (0 clean, 1 findings, 2 a missing file or one ``--opt`` cannot build)."""
+    (0 clean, 1 findings, 2 a missing file, one that cannot be read or
+    analyzed, or one ``--opt`` cannot build)."""
     files = gather_files(args.paths)
     missing = [f for f in files if not f.is_file()]
     if missing:
@@ -87,7 +91,13 @@ def main(args) -> int:
     if args.opt:
         return _run_opt(files)
 
-    reports = [analyze_file(f) for f in files]
+    reports = []
+    for f in files:
+        try:
+            reports.append(analyze_file(f))
+        except ReproError as exc:
+            print(f"{f}: error: {exc}", file=sys.stderr)
+            return 2
     findings = [f for r in reports for f in r.findings]
     if args.json:
         print(render_json(findings))
@@ -115,7 +125,6 @@ def _run_opt(files: list[Path]) -> int:
     tool), 2 when a file could not be compiled/assembled at all.
     """
     from repro.analysis.opt import optimize_program
-    from repro.errors import ReproError
     from repro.system.runner import load_program
 
     status = 0

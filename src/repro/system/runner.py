@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro._util import format_table
+from repro._util import format_table, read_source
 from repro.errors import BusError
 from repro.isa.assembler import assemble
 from repro.isa.ccompiler import compile_c
@@ -31,7 +31,7 @@ from repro.system.bus import BUS_KINDS, CostModel, make_bus
 def load_program(path: str | Path, *, entry: str = "main") -> Program:
     """Compile/assemble a ``.c`` or ``.s`` file into a Program."""
     path = Path(path)
-    source = path.read_text()
+    source = read_source(path)
     if path.suffix == ".c":
         return assemble(compile_c(source), entry=entry)
     if path.suffix == ".s":

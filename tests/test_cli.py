@@ -1,6 +1,7 @@
 """The usage contract every ``python -m repro`` subcommand shares."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,24 @@ def test_mutually_exclusive_flags(capsys):
     assert main(["analyze", "--expect-findings", "--fail-on-findings",
                  SUM_C]) == 2
     assert capsys.readouterr().out.count("error:") == 2
+
+
+def test_a_source_that_is_not_utf8_is_a_clean_error(tmp_path, capsys):
+    bad = tmp_path / "bad.c"
+    bad.write_bytes(random.Random(28).randbytes(100))
+    with pytest.raises(UnicodeDecodeError):
+        bad.read_text(encoding="utf-8")
+    # run: a file it cannot load, like a missing one
+    assert main(["run", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"error: {bad} is not UTF-8 text (byte 0xcc at offset 0)\n"
+    assert err == ""
+    # analyze: a file it cannot analyze, on stderr
+    assert main(["analyze", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"{bad}: error: {bad} is not UTF-8 text "
+                   "(byte 0xcc at offset 0)\n")
 
 
 def test_importing_the_packages_leaves_the_parser_unloaded():
