@@ -14,10 +14,11 @@ source. It has two modes:
   ``h(m, nxt) -> next_eip``. Registers and flags are read and written
   in place (``m.regs._regs[...]``, ``m.regs.flags.*``), so emission
   order is mutation order and nothing needs writing back; loads and
-  stores go through ``m.space``, so the bus accounts each access as it
-  happens. ``call`` pushes ``nxt``, so a handler does not depend on its
-  instruction's address and is shared by every instruction of the same
-  form. These are the interpreter's predecoded handlers
+  stores go through ``m.space``, which accounts each access or, on a
+  run that defers its bus accounting, queues it for a batch. ``call``
+  pushes ``nxt``, so a handler does not depend on its instruction's
+  address and is shared by every instruction of the same form. These
+  are the interpreter's predecoded handlers
   (:meth:`~repro.isa.machine.Machine.run`).
 
 The writer declines what it does not model (byte-width operations,

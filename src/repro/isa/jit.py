@@ -52,13 +52,17 @@ constraint, pinned by the differential tests:
   points — the trace, watcher notifications, and segmentation faults
   are unchanged — while *bus accounting* is deferred: each access
   appends a ``(kind, address, size)`` tuple to a pending list that is
-  replayed in one ``replay_block`` call per block, where the vectorized
-  engines (``CacheHierarchy.simulate_arrays``, ``MMU.translate_many``)
-  replace per-access scalar simulation; where they fall back to one
-  access at a time, they run ``Cache.probe`` and ``MMU.translate``,
-  the one transition each structure has. Pending accounting is flushed
-  before any interpreted instruction and on every fault, so the
-  hierarchy always sees the exact scalar access sequence.
+  replayed in batches through the bus's ``replay_block``, whose
+  engines replace per-access scalar simulation; where they fall back
+  to one access at a time, they run ``Cache.probe`` and
+  ``MMU.translate``, the one transition each structure has. On a
+  virtual bus the dispatcher's interpreted instructions defer into the
+  same list (unless the bus records per-access samples), and the list
+  is replayed at a block boundary once it holds ``FLUSH_LIMIT``
+  entries, and when the run ends or faults. On other buses it is
+  flushed before each interpreted instruction, which accounts as it
+  goes. Either way the hierarchy sees the exact scalar access
+  sequence.
 
 The JIT declines work instead of approximating it: byte-width
 instructions and sub-register operands fall back to the interpreter's
@@ -88,7 +92,8 @@ from repro.clib.address_space import Access, AddressSpace
 from repro.errors import CMemoryError, MachineFault
 from repro.isa.codegen import _Unsupported, _Writer
 from repro.isa.instructions import INSTRUCTION_SIZE
-from repro.isa.machine import SENTINEL_RETURN, TRACE_CHUNK, _fell_off
+from repro.isa.machine import (FLUSH_LIMIT, SENTINEL_RETURN, TRACE_CHUNK,
+                               _fell_off)
 
 #: interpreter visits to one address before it is compiled
 DEFAULT_THRESHOLD = 8
@@ -99,8 +104,6 @@ MAX_BLOCK = 64
 #: each), not a hit-rate setting, since a dropped shape is compiled
 #: again the next time a program forms it
 MAX_CODE = 256
-#: pending bus-accounting entries that force a flush at a block boundary
-FLUSH_LIMIT = 1 << 16
 
 
 @dataclass
@@ -282,9 +285,10 @@ class JitEngine:
 
         Compiled blocks execute whole; everything else (cold code, the
         approach to the step limit, uncompilable instructions) goes
-        through the predecoded handlers one instruction at a time, with
-        pending bus accounting flushed first so the memory hierarchy
-        sees accesses in exact program order.
+        through the predecoded handlers one instruction at a time. Their
+        accesses join the blocks' pending accounting where the space
+        can defer it, and otherwise flush it first, so the memory
+        hierarchy sees accesses in exact program order.
 
         With the recorder enabled, block executions and interpreted
         instructions append (name, ts, instructions) triples to one
@@ -294,7 +298,7 @@ class JitEngine:
         """
         regs = m.regs
         record = m.record_fetches
-        space = m.space
+        view = m.space
         handlers = m._predecode()
         compiled = self.blocks
         counts = self.counts
@@ -303,7 +307,13 @@ class JitEngine:
         pending = self.pending
         flush = self.flush
         stats = self.stats
-        fetch = space.fetch
+        # interpreted steps defer their accounting into the blocks'
+        # pending list where the space can (see Machine._run), and
+        # otherwise flush it first and account as they go
+        defer = getattr(view, "deferred", None)
+        deferred = defer(pending) if defer is not None else None
+        flush_at = 1 if deferred is None else FLUSH_LIMIT
+        fetch = (view if deferred is None else deferred).fetch
         steps = m.steps
         entries = side_exits = jit_steps = 0
         rec = m.recorder
@@ -327,6 +337,8 @@ class JitEngine:
                 p_names.clear()
                 p_ts.clear()
                 p_ins.clear()
+        if deferred is not None:
+            m.space = deferred
         try:
             while not m.halted:
                 eip = regs.eip
@@ -374,7 +386,7 @@ class JitEngine:
                 handler = handlers.get(eip)
                 if handler is None:
                     raise MachineFault(_fell_off(eip, steps))
-                if pending:
+                if len(pending) >= flush_at:
                     flush()
                 if record:
                     fetch(eip, INSTRUCTION_SIZE)
@@ -407,6 +419,7 @@ class JitEngine:
                             args={"eip": regs.eip, "what": str(exc)})
             raise
         finally:
+            m.space = view
             m.steps = steps
             stats.entries += entries
             stats.side_exits += side_exits

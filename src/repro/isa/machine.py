@@ -36,6 +36,11 @@ SENTINEL_RETURN = 0xFFFF_FFF0
 #: pending trace events per bulk append in the traced run loops (this
 #: machine's and the JIT's)
 TRACE_CHUNK = 4096
+#: most deferred bus-accounting entries a run holds before it replays
+#: them (the JIT flushes at a block boundary; the interpreter every
+#: ``FLUSH_LIMIT // 4`` steps, as one instruction makes at most four
+#: accesses)
+FLUSH_LIMIT = 1 << 16
 
 
 def _fell_off(eip: int, steps: int) -> str:
@@ -433,6 +438,14 @@ class Machine:
         within one chunk the fetches are listed before the spans. The
         label ids are interned once per recorder, so a kernel's many
         short slices do not re-intern the program.
+
+        On a space that can defer its bus accounting (a virtual-bus
+        :class:`~repro.system.bus.ProcessView` whose bus records no
+        per-access samples) the loop runs over the deferred view: bytes
+        move at once and the accesses are replayed in one batch when
+        the run ends (a fault included) and every ``FLUSH_LIMIT // 4``
+        steps, as a JIT block's are. :meth:`step` stays the per-access
+        reference.
         """
         if self.jit if jit is None else jit:
             engine = self._jit()
@@ -442,10 +455,18 @@ class Machine:
         handlers = self._predecode()
         regs = self.regs
         record = self.record_fetches
-        fetch = self.space.fetch
+        view = self.space
+        pending: list[tuple] = []      # deferred bus accounting
+        defer = getattr(view, "deferred", None)
+        deferred = defer(pending) if defer is not None else None
+        fetch = (view if deferred is None else deferred).fetch
         rec = self.recorder
         traced = rec.enabled
         steps = self.steps
+        # the loop checks one bound: the step limit, or before it the
+        # next replay of deferred accounting
+        flush_every = FLUSH_LIMIT // 4 if deferred is not None else max_steps
+        stop = min(max_steps, steps + flush_every)
         if traced:
             table = self._trace_ids
             if (table is None or table[0] is not rec
@@ -459,32 +480,38 @@ class Machine:
                     rec.intern("eip"),
                     rec.intern("fetch") if record else -1)
             _, _, ids, track, cat, eip_key, fetch_id = table
-            pending: list[int] = []                  # eips, in step order
-            append = pending.append
-            base = steps                             # ts of pending[0]
+            eips: list[int] = []                     # in step order
+            append = eips.append
+            base = steps                             # ts of eips[0]
             flush_at = base + TRACE_CHUNK
 
             def flush(now: int) -> None:
                 nonlocal base, flush_at
-                if pending:
+                if eips:
                     if record:
                         rec.instant_run(fetch_id, base, track_id=track,
                                         cat_id=cat, key_id=eip_key,
-                                        vals=pending)
-                    rec.complete_run(list(map(ids.__getitem__, pending)),
+                                        vals=eips)
+                    rec.complete_run(list(map(ids.__getitem__, eips)),
                                      base, track_id=track, cat_id=cat,
-                                     key_id=eip_key, vals=pending)
-                    pending.clear()
+                                     key_id=eip_key, vals=eips)
+                    eips.clear()
                 base = now
                 flush_at = base + TRACE_CHUNK
 
+        if deferred is not None:
+            self.space = deferred
         try:
             while not self.halted:
-                if steps >= max_steps:
-                    if not raise_on_limit:
-                        break
-                    raise MachineFault(
-                        "step limit exceeded (infinite loop?)")
+                if steps >= stop:
+                    if steps >= max_steps:
+                        if not raise_on_limit:
+                            break
+                        raise MachineFault(
+                            "step limit exceeded (infinite loop?)")
+                    view.replay_block(pending)
+                    pending.clear()
+                    stop = min(max_steps, steps + flush_every)
                 eip = regs.eip
                 handler = handlers.get(eip)
                 if handler is None:
@@ -523,6 +550,10 @@ class Machine:
             self.steps = steps
             if traced:
                 flush(steps)
+            if deferred is not None:
+                self.space = view
+                if pending:
+                    view.replay_block(pending)
 
     def call(self, label: str, *args: int,
              max_steps: int = 1_000_000) -> int:

@@ -202,8 +202,10 @@ class Cache:
         hit scan, write policy, victim choice and per-set RNG draws,
         prefetch and counter samples. On an allocating miss it leaves
         the victim's old ``(tag, dirty)`` (None for an empty way) in
-        ``_evicted``. The memory buses call it on every access, and
-        every other path reaches line state through it:
+        ``_evicted``. The memory buses call it for every access (the
+        virtual bus, through :meth:`CacheHierarchy.replay`, for every
+        access not proved an L1 hit), and every other path reaches line
+        state through it:
         :meth:`access` builds its :class:`AccessResult` over it, and
         :meth:`access_many`, the hierarchy and the run heads of the
         vectorized engine's skewed-trace replay loop over it.
@@ -409,6 +411,16 @@ class Cache:
         parts = self.layout.divide(address)
         return any(l.valid and l.tag == parts.tag
                    for l in self.sets[parts.index])
+
+    def line_of(self, address: int) -> Line | None:
+        """The resident line holding ``address``'s block, or None (no
+        bounds check: for addresses :meth:`probe` has accepted)."""
+        tag = address >> self._tag_shift
+        for line in self.sets[(address >> self._offset_bits)
+                              & self._index_mask]:
+            if line.valid and line.tag == tag:
+                return line
+        return None
 
     def set_state(self, index: int) -> list[tuple[bool, int, bool]]:
         """(valid, tag, dirty) per way — what students draw per step."""

@@ -60,6 +60,76 @@ class CacheHierarchy:
         self.memory_accesses += 1
         return -1
 
+    def replay(self, addrs, stores) -> list[int]:
+        """Probe a batch of accesses in order (``stores`` flags each as
+        a store or a load); returns how many hit at each level, with
+        main memory last.
+
+        Exactly :meth:`probe` per access, in pure Python, with L1's
+        resident case collapsed: the batch remembers the L1 line each
+        block was last found in, and an access whose line still holds
+        its block is a certain L1 hit (tags are unique within a set). It
+        costs a dict lookup and a tag compare; a store sets the line's
+        dirty bit at once under write-back. The other
+        effects (L1's clock and hit counts, each line's ``last_used``,
+        write-through traffic) are applied before the next
+        :meth:`probe` and at the end. The levels below L1 see L1's miss
+        stream, in order, through :meth:`probe`.
+
+        A collapsed hit records no counter sample, so with L1's
+        recorder enabled nothing is collapsed.
+        """
+        l1 = self.levels[0]
+        counts = [0] * (len(self.levels) + 1)
+        offset_bits = l1._offset_bits
+        tag_shift = l1._tag_shift
+        write_back = l1.config.write_policy == "write-back"
+        collapse = not l1.recorder.enabled
+        probe = self.probe
+        line_of = l1.line_of
+        resident: dict = {}            # block -> the L1 line it was in
+        last: dict[int, int] = {}      # collapsed block -> last index
+        base = l1._clock               # access i ticks L1 to base+i+1
+        done = 0                       # accesses applied to L1
+        stored = 0                     # collapsed stores since then
+
+        def settle(upto: int) -> None:
+            count = upto - done
+            l1._clock = base + upto
+            for block, i in last.items():
+                resident[block].last_used = base + i + 1
+            stats = l1.stats
+            stats.store_hits += stored
+            stats.load_hits += count - stored
+            if not write_back:
+                stats.memory_writes += stored
+            counts[0] += count
+            last.clear()
+
+        for i, (addr, store) in enumerate(zip(addrs, stores)):
+            block = addr >> offset_bits
+            line = resident.get(block)
+            if line is not None and line.tag == addr >> tag_shift:
+                last[block] = i
+                if store:
+                    stored += 1
+                    if write_back:
+                        line.dirty = True
+                continue
+            if last:
+                settle(i)
+                stored = 0
+            level = probe(addr, "store" if store else "load")
+            done = i + 1
+            counts[level] += 1
+            if collapse:
+                line = line_of(addr)
+                if line is not None:
+                    resident[block] = line
+        if last:
+            settle(i + 1)
+        return counts
+
     def run_trace(self, accesses: Iterable[int | tuple[int, AccessKind]]
                   ) -> list[HierarchyAccess]:
         out = []

@@ -27,6 +27,17 @@ Timing is accounted in :class:`BusStats.cycles` against one unified
 the :mod:`repro.system.runner` report can compare across
 configurations. Recording (``recorder=``) follows the :mod:`repro.obs`
 rules: hooks guard on ``recorder.enabled`` and never change behaviour.
+
+The virtual bus accounts with one engine, :meth:`VirtualBus._replay`:
+an exact, in-order pass over a batch of ``(kind, address, size)``
+accesses that collapses resident TLB and L1 hits. A single access is a
+one-access batch; a JIT block's accesses are one batch, and so are an
+untraced interpreted slice's (:meth:`ProcessView.deferred`), which
+move their bytes at once and account when the slice ends. Collapsing
+would skip the per-access counter samples a recorder keeps, so a
+traced run accounts interpreted accesses one at a time and replays JIT
+blocks through the numpy engines (``MMU.translate_many``,
+``CacheHierarchy.simulate_arrays``), recording what it always has.
 """
 
 from __future__ import annotations
@@ -93,7 +104,18 @@ def _charge_probe(stats: BusStats, hierarchy: CacheHierarchy,
 
 def _charge_hit_levels(stats: BusStats, hierarchy: CacheHierarchy,
                        cost: CostModel, hit_level) -> None:
-    """Charge a batch of cache probes from their per-access hit levels.
+    """Charge a batch of cache probes from their per-access hit levels
+    (the array :meth:`CacheHierarchy.simulate_arrays` returns): the
+    counts of :func:`_charge_level_counts`, taken with one bincount."""
+    counts = np.bincount(np.asarray(hit_level, dtype=np.int64) + 1,
+                         minlength=len(hierarchy.levels) + 1).tolist()
+    _charge_level_counts(stats, hierarchy, cost, counts[1:] + counts[:1])
+
+
+def _charge_level_counts(stats: BusStats, hierarchy: CacheHierarchy,
+                         cost: CostModel, counts) -> None:
+    """Charge a batch of cache probes from how many hit at each level
+    (main memory last).
 
     The batch analogue of :func:`_charge_probe`: a hit at level *i*
     costs the cumulative hit times through *i* (bucket
@@ -102,23 +124,18 @@ def _charge_hit_levels(stats: BusStats, hierarchy: CacheHierarchy,
     ``count * cycles`` equals the scalar path's repeated additions
     exactly, so stats-equality asserts hold bit-for-bit.
     """
-    levels = hierarchy.levels
-    counts = np.bincount(np.asarray(hit_level, dtype=np.int64) + 1,
-                         minlength=len(levels) + 1)
     cum = 0.0
     cache_cycles = 0.0
     hits = 0
-    for i, level in enumerate(levels):
+    for level, count in zip(hierarchy.levels, counts):
         cum += level.config.hit_time
-        c = int(counts[i + 1])
-        if c:
-            cache_cycles += c * cum
-            hits += c
-    misses = int(counts[0])
+        if count:
+            cache_cycles += count * cum
+            hits += count
     if hits:
         stats.charge("cache", cache_cycles)
-    if misses:
-        stats.charge("memory", misses * (cum + cost.memory_time))
+    if counts[-1]:
+        stats.charge("memory", counts[-1] * (cum + cost.memory_time))
 
 
 def default_hierarchy(*, recorder=None) -> CacheHierarchy:
@@ -280,42 +297,59 @@ class CachedBus(ByteAddressable):
         return f"cached: {levels} -> RAM"
 
 
-class _Segment:
-    """One mapped region's place in a process's linear page space."""
-
-    __slots__ = ("start", "end", "base_vpn")
-
-    def __init__(self, start: int, end: int, base_vpn: int) -> None:
-        self.start = start
-        self.end = end
-        self.base_vpn = base_vpn
-
-
 class _Process:
-    """Per-pid state: backing bytes plus the region→page mapping."""
+    """Per-pid state: backing bytes plus the page→linear-page mapping."""
 
-    __slots__ = ("space", "segments", "num_pages")
+    __slots__ = ("space", "vpn_of", "num_pages")
 
     def __init__(self, space: AddressSpace, page_size: int) -> None:
         self.space = space
-        self.segments: list[_Segment] = []
+        #: page number of an address (``address // page_size``) -> its
+        #: page in the process's linear page space, where pages are
+        #: numbered contiguously region by region, so the page table
+        #: covers only the mapped regions
+        self.vpn_of: dict[int, int] = {}
         vpn = 0
         for region in space.layout():
             if region.start % page_size or region.size % page_size:
                 raise BusError(
                     f"region {region.name!r} is not page-aligned "
                     f"(page size {page_size})")
-            self.segments.append(_Segment(region.start, region.end, vpn))
-            vpn += region.size // page_size
+            first = region.start // page_size
+            for page in range(region.size // page_size):
+                self.vpn_of[first + page] = vpn
+                vpn += 1
         self.num_pages = vpn
 
-    def segment_for(self, address: int) -> _Segment:
-        for seg in self.segments:
-            if seg.start <= address < seg.end:
-                return seg
-        # out-of-range addresses fault in the address space with the
-        # standard message; translation never sees them
-        raise BusError(f"address {address:#010x} is outside every segment")
+
+class _DeferredView(ByteAddressable):
+    """A process's bytes with the bus accounting deferred.
+
+    Each access moves its bytes through the backing
+    :class:`AddressSpace` at once (faults, trace and watchers as
+    usual) and then appends ``(kind, address, size)`` to a pending
+    list, which :meth:`VirtualBus.replay_block_for` accounts later in
+    one batch, as it does a JIT block's. An access that faults appends
+    nothing.
+    """
+
+    def __init__(self, space: AddressSpace, pending: list) -> None:
+        self.space = space
+        self._append = pending.append
+
+    def read(self, address: int, size: int) -> bytes:
+        data = self.space.read(address, size)
+        self._append(("load", address, size))
+        return data
+
+    def write(self, address: int, data: bytes) -> None:
+        self.space.write(address, data)
+        self._append(("store", address, len(data)))
+
+    def fetch(self, address: int, size: int) -> bytes:
+        data = self.space.fetch(address, size)
+        self._append(("fetch", address, size))
+        return data
 
 
 class ProcessView(ByteAddressable):
@@ -353,6 +387,15 @@ class ProcessView(ByteAddressable):
     def replay_block(self, accesses) -> None:
         self.bus.replay_block_for(self.pid, accesses)
 
+    def deferred(self, pending: list) -> "_DeferredView | None":
+        """This process's bytes with the accounting deferred to
+        ``pending``, for :meth:`replay_block` to account later; None
+        when the bus records a counter sample per access (a traced
+        run), which a batch would merge."""
+        if self.bus.samples():
+            return None
+        return _DeferredView(self.space, pending)
+
 
 class VirtualBus:
     """Per-pid page tables → TLB/MMU → caches → physical frames.
@@ -371,6 +414,12 @@ class VirtualBus:
     hardware does. Permissions stay with the regions (the page-table
     ``writable`` bit is left permissive), so a stray store faults with
     the same :class:`~repro.errors.SegmentationFault` a flat run raises.
+
+    Every access is accounted by one engine, :meth:`_replay`, over
+    batches: one access from :meth:`read_for` and friends, a JIT
+    block's or an untraced interpreted slice's from
+    :meth:`replay_block_for`. End state and charges equal an
+    access-by-access walk whatever the batch size.
     """
 
     kind = "virtual"
@@ -432,42 +481,104 @@ class VirtualBus:
                            "(create_process first)")
         return proc
 
-    # -- translation + accounting ------------------------------------------
+    # -- accounting ----------------------------------------------------------
 
-    def _account(self, pid: int, address: int, size: int, kind: str) -> None:
-        """Translate every page the access touches; charge its latency."""
-        proc = self._procs[pid]
+    def samples(self) -> bool:
+        """Does the MMU, the TLB or a cache level record a counter sample
+        per access? (A traced run: batches would merge those samples.)"""
+        return (self.mmu.recorder.enabled or self.mmu.tlb.recorder.enabled
+                or any(level.recorder.enabled
+                       for level in self.hierarchy.levels))
+
+    def _linear(self, proc: _Process, accesses
+                ) -> tuple[list[int], list[bool], int, int]:
+        """The accesses as one ``(linear address, is store)`` pair per
+        page touched, plus the load and store counts.
+
+        An access that spans a page boundary translates each touched
+        page, as hardware does; the linear address of a page is its
+        place in the process's page space (see :class:`_Process`).
+        """
+        vpn_of = proc.vpn_of
+        shift = self._offset_bits
+        page_size = self.page_size
+        mask = page_size - 1
+        vaddrs: list[int] = []
+        writes: list[bool] = []
+        append = vaddrs.append
+        loads = stores = 0
+        for kind, address, size in accesses:
+            write = kind == "store"
+            if write:
+                stores += 1
+            elif kind == "load":
+                loads += 1
+            offset = address & mask
+            vpn = vpn_of.get(address >> shift)
+            if vpn is not None and offset + size <= page_size:
+                append((vpn << shift) | offset)
+                writes.append(write)
+                continue
+            addr = address
+            end = address + size
+            while addr < end:
+                vpn = vpn_of.get(addr >> shift)
+                if vpn is None:
+                    # out-of-range addresses fault in the address space
+                    # with the standard message; translation never sees
+                    # them
+                    raise BusError(f"address {addr:#010x} is outside "
+                                   "every segment")
+                append((vpn << shift) | (addr & mask))
+                writes.append(write)
+                addr = (addr | mask) + 1             # next page (if any)
+        return vaddrs, writes, loads, stores
+
+    def _charge_translations(self, hits: int, misses: int,
+                             faults: int) -> None:
+        cost = self.cost
+        if hits:
+            self.stats.charge("tlb", hits * cost.tlb_time)
+        if misses:
+            self.stats.charge("walk",
+                              misses * (cost.tlb_time + cost.memory_time))
+        if faults:
+            self.stats.charge("fault", faults * cost.fault_service_time)
+
+    def _replay(self, pid: int, accesses) -> None:
+        """Account ``(kind, address, size)`` accesses of ``pid``, in order:
+        the bus's one accounting engine.
+
+        One :meth:`MMU.replay` pass translates every touched page and
+        one :meth:`CacheHierarchy.replay` pass probes the physical
+        addresses (fetches probe like loads). Both are exact in-order
+        walks in pure Python that collapse resident TLB and L1 hits, and
+        MMU and cache state are independent, so end state and charges
+        equal an access-by-access walk; each cycle bucket is charged
+        once per batch.
+        """
+        proc = self._proc(pid)
         mmu = self.mmu
         if mmu.current_pid != pid:
             # switching to the running pid is a no-op; skip the call
             mmu.context_switch(pid)
-        translate = mmu.translate
+        vaddrs, writes, loads, stores = self._linear(proc, accesses)
         stats = self.stats
-        hierarchy = self.hierarchy
-        cost = self.cost
-        tlb_cycles = cost.tlb_time
-        walk_cycles = cost.tlb_time + cost.memory_time   # page-table walk
-        write = kind == "store"
-        offset_bits = self._offset_bits
-        offset_mask = self.page_size - 1
-        addr = address
-        end = address + size
-        while addr < end:
-            # linear address in the process's page space: pages are
-            # numbered contiguously segment by segment, so the page
-            # table covers only the mapped regions
-            seg = proc.segment_for(addr)
-            vpn = seg.base_vpn + ((addr - seg.start) >> offset_bits)
-            paddr, tlb_hit, page_fault = translate(
-                (vpn << offset_bits) | (addr & offset_mask), write)
-            if tlb_hit:
-                stats.charge("tlb", tlb_cycles)
-            else:
-                stats.charge("walk", walk_cycles)
-            if page_fault:
-                stats.charge("fault", cost.fault_service_time)
-            _charge_probe(stats, hierarchy, cost, paddr, kind)
-            addr = (addr | offset_mask) + 1          # next page (if any)
+        stats.loads += loads
+        stats.stores += stores
+        stats.fetches += len(accesses) - loads - stores
+        tlb = mmu.tlb.stats
+        hits, misses, faults = tlb.hits, tlb.misses, mmu.stats.page_faults
+        paddrs: list[int] = []
+        try:
+            mmu.replay(vaddrs, writes, paddrs)
+        finally:
+            # on a fault, the accesses translated before it are charged
+            # and probe the caches, as a walk would have done
+            self._charge_translations(tlb.hits - hits, tlb.misses - misses,
+                                      mmu.stats.page_faults - faults)
+            _charge_level_counts(stats, self.hierarchy, self.cost,
+                                 self.hierarchy.replay(paddrs, writes))
 
     # -- current-process access (the MemoryBus protocol face) ----------------
     # The CPU is always running *some* process; un-pidded accesses route
@@ -492,68 +603,45 @@ class VirtualBus:
 
     def read_for(self, pid: int, address: int, size: int) -> bytes:
         data = self._proc(pid).space.read(address, size)
-        self.stats.loads += 1
-        self._account(pid, address, size, "load")
+        self._replay(pid, (("load", address, size),))
         return data
 
     def write_for(self, pid: int, address: int, data: bytes) -> None:
         self._proc(pid).space.write(address, data)
-        self.stats.stores += 1
-        self._account(pid, address, len(data), "store")
+        self._replay(pid, (("store", address, len(data)),))
 
     def fetch_for(self, pid: int, address: int, size: int) -> bytes:
         data = self._proc(pid).space.fetch(address, size)
-        self.stats.fetches += 1
-        self._account(pid, address, size, "load")
+        self._replay(pid, (("fetch", address, size),))
         return data
 
     def replay_block_for(self, pid: int, accesses) -> None:
-        """Account a block of deferred ``(kind, address, size)`` accesses.
+        """Account a batch of deferred ``(kind, address, size)`` accesses:
+        a JIT block's, or an interpreted slice's (see
+        :meth:`ProcessView.deferred`).
 
-        The batch analogue of :meth:`_account` over a whole block: one
+        Through :meth:`_replay`, the engine every access takes, unless
+        the bus :meth:`samples` per access. A traced run keeps the
+        numpy route, which records what it always has: one
         :meth:`MMU.translate_many` call covers every touched page (same
         TLB/page-table/frame transitions as the scalar walk, pinned by
-        the MMU's own tests), and the resulting physical addresses
-        probe the caches through one ``simulate_arrays`` call. MMU and
-        cache state are independent, and each sees its exact scalar
-        sequence, so end state and charges are identical even though
-        translation and probing are no longer interleaved.
+        the MMU's own tests), and the resulting physical addresses probe
+        the caches through one ``simulate_arrays`` call.
         """
         if not accesses:
             return
-        proc = self._proc(pid)
-        offset_bits = self._offset_bits
-        offset_mask = self.page_size - 1
-        linears: list[int] = []
-        writes: list[bool] = []
-        kinds = list(map(itemgetter(0), accesses))
-        loads = kinds.count("load")
-        stores = kinds.count("store")
-        for kind, address, size in accesses:
-            write = kind == "store"
-            addr = address
-            end = address + size
-            while addr < end:
-                seg = proc.segment_for(addr)
-                vpn = seg.base_vpn + ((addr - seg.start) >> offset_bits)
-                linears.append((vpn << offset_bits) | (addr & offset_mask))
-                writes.append(write)
-                addr = (addr | offset_mask) + 1
+        if not self.samples():
+            self._replay(pid, accesses)
+            return
+        vaddrs, writes, loads, stores = self._linear(self._proc(pid),
+                                                     accesses)
         self.stats.loads += loads
         self.stats.stores += stores
         self.stats.fetches += len(accesses) - loads - stores
         store_mask = np.array(writes, dtype=bool)
-        t = self.mmu.translate_many(linears, writes=store_mask, pid=pid)
-        hits = t.tlb_hits
-        misses = t.accesses - hits
-        if hits:
-            self.stats.charge("tlb", hits * self.cost.tlb_time)
-        if misses:
-            self.stats.charge(
-                "walk", misses * (self.cost.tlb_time + self.cost.memory_time))
-        if t.page_faults:
-            self.stats.charge(
-                "fault", t.page_faults * self.cost.fault_service_time)
+        t = self.mmu.translate_many(vaddrs, writes=store_mask, pid=pid)
+        self._charge_translations(t.tlb_hits, t.accesses - t.tlb_hits,
+                                  t.page_faults)
         _charge_hit_levels(self.stats, self.hierarchy, self.cost,
                            self.hierarchy.simulate_arrays(t.paddrs,
                                                           store_mask))

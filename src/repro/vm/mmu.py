@@ -192,8 +192,9 @@ class MMU:
         instant and the TLB fill; then frame touch, referenced/dirty
         bits and the counter sample. A fault's ``(evicted,
         wrote_back)`` is kept for :meth:`access` to read back. The
-        virtual bus calls it on every access; :meth:`access` builds the
-        homework's :class:`Translation` row over it.
+        virtual bus reaches it through :meth:`replay`, for every access
+        not proved a TLB hit; :meth:`access` builds the homework's
+        :class:`Translation` row over it.
         """
         pid = self.current_pid
         if pid is None:
@@ -272,6 +273,72 @@ class MMU:
         frame = self.physical.allocate(pid, vpn, self._clock)
         table.map_page(vpn, frame)
         return frame, evicted, wrote_back
+
+    def replay(self, vaddrs, writes, paddrs: list) -> None:
+        """Translate a batch of accesses for the current process, in
+        order, appending each physical address to ``paddrs``.
+
+        Exactly :meth:`translate` per access, in pure Python, with the
+        resident case collapsed (the resident case of Mattson et al.'s
+        LRU stack algorithm): an access to a page that has hit or been
+        filled since the batch's last TLB miss is a certain hit, since
+        only a miss inserts into the TLB or evicts a frame. It costs a
+        dict lookup; writes still pass the protection check and set the
+        dirty bit at once. The collapsed hits' other effects (clock,
+        access and hit counts, TLB recency in last-use order, each
+        frame's ``last_used``) are applied before the next
+        :meth:`translate` and at the end, so every scalar step sees the
+        state the access-by-access walk would leave.
+
+        A collapsed hit records no counter sample, so with the recorder
+        (the MMU's or the TLB's) enabled nothing is collapsed.
+        """
+        pid = self.current_pid
+        if pid is None:
+            raise VmError("no process is running")
+        entries = self._table(pid).entries
+        shift = self._offset_bits
+        mask = self.page_size - 1
+        translate = self.translate
+        append = paddrs.append
+        collapse = not (self.recorder.enabled or self.tlb.recorder.enabled)
+        resident: dict[int, int] = {}  # vpn -> frame base, since a miss
+        last: dict[int, int] = {}      # collapsed vpn -> last batch index
+        base = self._clock             # access i ticks the clock to base+i+1
+        done = 0                       # accesses applied to the MMU
+
+        def settle(upto: int) -> None:
+            count = upto - done
+            self._clock = base + upto
+            self.stats.accesses += count
+            order = sorted(last, key=last.__getitem__)
+            self.tlb.record_hits(pid, order, count)
+            touch = self.physical.touch
+            for vpn in order:
+                touch(resident[vpn] >> shift, base + last[vpn] + 1)
+            last.clear()
+
+        for i, (vaddr, write) in enumerate(zip(vaddrs, writes)):
+            vpn = vaddr >> shift
+            frame_base = resident.get(vpn)
+            if frame_base is not None and (not write
+                                           or entries[vpn].writable):
+                if write:
+                    entries[vpn].dirty = True
+                last[vpn] = i
+                append(frame_base | (vaddr & mask))
+                continue
+            if last:
+                settle(i)
+            paddr, tlb_hit, _ = translate(vaddr, write)
+            done = i + 1
+            if collapse:
+                if not tlb_hit:
+                    resident.clear()
+                resident[vpn] = paddr & ~mask
+            append(paddr)
+        if last:
+            settle(i + 1)
 
     def translate_many(self, vaddrs, *, writes=None,
                        pid: int | None = None) -> BatchTranslation:

@@ -89,22 +89,31 @@ class TLB:
         self._entries[key] = frame
 
     def record_repeat_hits(self, pid: int, vpn: int, count: int) -> None:
-        """Account ``count`` repeated hits to a resident entry at once.
+        """Account ``count`` repeated hits to one resident entry at once.
 
         The batch translation path
         (:meth:`~repro.vm.mmu.MMU.translate_many`) collapses a run of
         accesses to one page into a single walk plus ``count`` TLB
-        hits; this applies those hits in one step — the entry moves to
-        most-recently-used (a no-op when it already is, exactly as
-        ``count`` scalar lookups would leave it) and the hit counter
-        advances by ``count``.
+        hits; this is :meth:`record_hits` for that one page.
+        """
+        self.record_hits(pid, (vpn,), count)
+
+    def record_hits(self, pid: int, vpns, count: int) -> None:
+        """Account ``count`` hits to resident entries at once.
+
+        Each page of ``vpns`` moves to most-recently-used in the order
+        given, which must be the order of their last use: exactly where
+        ``count`` scalar lookups would leave them (a no-op for a page
+        that already is). The hit counter advances by ``count``.
         """
         if count < 0:
             raise VmError("hit count cannot be negative")
-        key = self._key(pid, vpn)
-        if key not in self._entries:
-            raise VmError(f"page {vpn} of pid {pid} is not in the TLB")
-        self._entries.move_to_end(key)
+        entries = self._entries
+        for vpn in vpns:
+            key = self._key(pid, vpn)
+            if key not in entries:
+                raise VmError(f"page {vpn} of pid {pid} is not in the TLB")
+            entries.move_to_end(key)
         self.stats.hits += count
         if self.recorder.enabled:
             self._record_counters()
