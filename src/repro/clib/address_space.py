@@ -11,11 +11,20 @@ C program gets.
 The address space also keeps an optional access trace, which is how the
 memory-hierarchy module replays "the same program" through the cache and
 VM simulators (the course's vertical slice).
+
+Every load, store and fetch of every bus passes through
+:meth:`AddressSpace.read`, :meth:`~AddressSpace.write` and
+:meth:`~AddressSpace.fetch`, so their per-access cost is kept small: a
+region's ``end`` is a plain attribute, :meth:`AddressSpace.region_for`
+is one bisection over the regions' sorted ends instead of a scan, and
+the trace test is inline.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Literal
 
 from repro.errors import CMemoryError, SegmentationFault
@@ -50,15 +59,19 @@ class MemoryRegion:
         self.name = name
         self.start = start
         self.size = size
+        #: one past the last mapped byte (a region never moves or resizes)
+        self.end = start + size
         self.readable = readable
         self.writable = writable
         self.executable = executable
-        self.data = bytearray(size)
 
-    @property
-    def end(self) -> int:
-        """One past the last mapped byte."""
-        return self.start + self.size
+    @cached_property
+    def data(self) -> bytearray:
+        """The region's bytes, zero-filled on first use: most programs
+        never touch most of their regions (the megabyte heap above
+        all), and zeroing them up front is most of what building an
+        address space costs."""
+        return bytearray(self.size)
 
     def contains(self, address: int, size: int = 1) -> bool:
         return self.start <= address and address + size <= self.end
@@ -135,6 +148,8 @@ class AddressSpace(ByteAddressable):
 
     def __init__(self, *, trace: bool = False) -> None:
         self.regions: list[MemoryRegion] = []
+        #: each region's ``end``, in the regions' (address) order
+        self._ends: list[int] = []
         self.trace_enabled = trace
         self.trace: list[Access] = []
         self._watchers: list = []
@@ -149,6 +164,7 @@ class AddressSpace(ByteAddressable):
                     f"region {region.name!r} overlaps {existing.name!r}")
         self.regions.append(region)
         self.regions.sort(key=lambda r: r.start)
+        self._ends = [r.end for r in self.regions]
         return region
 
     @classmethod
@@ -172,9 +188,18 @@ class AddressSpace(ByteAddressable):
         raise CMemoryError(f"no region named {name!r}")
 
     def region_for(self, address: int, size: int = 1) -> MemoryRegion:
-        for r in self.regions:
-            if r.contains(address, size):
-                return r
+        """The first region (in address order) that contains
+        ``[address, address + size)``, or :class:`SegmentationFault`.
+
+        Regions do not overlap, so their ends ascend with their starts:
+        the regions ending at or after ``address + size`` are a suffix
+        of the list, and only the first of them can contain the access.
+        """
+        i = bisect_left(self._ends, address + size)
+        if i < len(self._ends):
+            region = self.regions[i]
+            if region.start <= address:
+                return region
         raise SegmentationFault(address, "unmapped address")
 
     def add_watcher(self, watcher) -> None:
@@ -199,15 +224,12 @@ class AddressSpace(ByteAddressable):
 
     # -- raw access ------------------------------------------------------------
 
-    def _record(self, kind: AccessKind, address: int, size: int) -> None:
-        if self.trace_enabled:
-            self.trace.append(Access(kind, address, size))
-
     def read(self, address: int, size: int) -> bytes:
         region = self.region_for(address, size)
         if not region.readable:
             raise SegmentationFault(address, f"{region.name} is not readable")
-        self._record("load", address, size)
+        if self.trace_enabled:
+            self.trace.append(Access("load", address, size))
         for w in self._watchers:
             w.on_read(address, size)
         off = address - region.start
@@ -217,7 +239,8 @@ class AddressSpace(ByteAddressable):
         region = self.region_for(address, len(data))
         if not region.writable:
             raise SegmentationFault(address, f"{region.name} is not writable")
-        self._record("store", address, len(data))
+        if self.trace_enabled:
+            self.trace.append(Access("store", address, len(data)))
         for w in self._watchers:
             w.on_write(address, len(data))
         off = address - region.start
@@ -229,7 +252,8 @@ class AddressSpace(ByteAddressable):
         if not region.executable:
             raise SegmentationFault(address,
                                     f"{region.name} is not executable")
-        self._record("fetch", address, size)
+        if self.trace_enabled:
+            self.trace.append(Access("fetch", address, size))
         off = address - region.start
         return bytes(region.data[off:off + size])
 
@@ -243,7 +267,7 @@ class AddressSpace(ByteAddressable):
 
     def region_of_address(self, address: int) -> str | None:
         """Which region an address falls in, or None — homework helper."""
-        for r in self.regions:
-            if r.contains(address):
-                return r.name
-        return None
+        try:
+            return self.region_for(address).name
+        except SegmentationFault:
+            return None
