@@ -89,11 +89,11 @@ from dataclasses import dataclass
 from repro.analysis.cfg import build_asm_cfg
 from repro.binary.twos_complement import MASK32
 from repro.clib.address_space import Access, AddressSpace
-from repro.errors import CMemoryError, MachineFault
+from repro.errors import MachineFault
 from repro.isa.codegen import _Unsupported, _Writer
 from repro.isa.instructions import INSTRUCTION_SIZE
 from repro.isa.machine import (FLUSH_LIMIT, SENTINEL_RETURN, TRACE_CHUNK,
-                               _fell_off)
+                               _fell_off, fetchable)
 
 #: interpreter visits to one address before it is compiled
 DEFAULT_THRESHOLD = 8
@@ -314,6 +314,10 @@ class JitEngine:
         deferred = defer(pending) if defer is not None else None
         flush_at = 1 if deferred is None else FLUSH_LIMIT
         fetch = (view if deferred is None else deferred).fetch
+        # recorded fetches append their entries without the byte path
+        # where the machine allows
+        fetched = (m._fetch_entries(deferred)
+                   if record and deferred is not None else None)
         steps = m.steps
         entries = side_exits = jit_steps = 0
         rec = m.recorder
@@ -389,7 +393,10 @@ class JitEngine:
                 if len(pending) >= flush_at:
                     flush()
                 if record:
-                    fetch(eip, INSTRUCTION_SIZE)
+                    if fetched is None:
+                        fetch(eip, INSTRUCTION_SIZE)
+                    else:
+                        pending.append(fetched[eip])
                 next_eip = handler(m, eip + INSTRUCTION_SIZE)
                 if traced:
                     p_names.append(ids[eip])
@@ -460,14 +467,7 @@ class JitEngine:
     def _fetchable(self, addresses: tuple[int, ...]) -> bool:
         """Would every fetch in this block succeed? (Compile-time check
         replacing the per-step executable test the scalar fetch does.)"""
-        for addr in addresses:
-            try:
-                region = self.backing.region_for(addr, INSTRUCTION_SIZE)
-            except CMemoryError:
-                return False
-            if not region.executable:
-                return False
-        return True
+        return fetchable(self.backing, addresses)
 
     def _form(self, writer: _Writer, cfg, entry: int) -> None:
         """Walk the asm CFG from ``entry``, emitting until an exit."""

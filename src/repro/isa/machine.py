@@ -16,7 +16,7 @@ from repro.binary.arith import add as _badd, mul as _bmul, sub as _bsub
 from repro.binary.bits import BitVector
 from repro.binary.twos_complement import MASK32, sign32
 from repro.clib.address_space import AddressSpace, STACK_TOP
-from repro.errors import IllegalInstruction, MachineFault
+from repro.errors import CMemoryError, IllegalInstruction, MachineFault
 from repro.isa.codegen import handler as _handler
 from repro.isa.instructions import (
     Immediate,
@@ -49,6 +49,20 @@ def _fell_off(eip: int, steps: int) -> str:
             "(fell off the program?)")
 
 
+def fetchable(space: AddressSpace, addresses) -> bool:
+    """Would an instruction fetch at every one of ``addresses`` succeed
+    in ``space``? (The check that lets the run loops and compiled blocks
+    account fetches without the per-fetch executable test.)"""
+    for addr in addresses:
+        try:
+            region = space.region_for(addr, INSTRUCTION_SIZE)
+        except CMemoryError:
+            return False
+        if not region.executable:
+            return False
+    return True
+
+
 class Machine:
     """Executes a :class:`Program` over an :class:`AddressSpace` or bus.
 
@@ -78,6 +92,9 @@ class Machine:
         self.jit = jit
         self.jit_threshold = jit_threshold
         self._jit_engine = None       # built lazily; False = unsupported
+        #: (backing space, view type, fetch entries or None): see
+        #: :meth:`_fetch_entries`
+        self._fetch_check = None
         #: the traced loop's interned ids, built once per recorder and
         #: handler table: (recorder, handlers, ids by address, track,
         #: cat, eip key, fetch id or -1)
@@ -369,6 +386,30 @@ class Machine:
             self.program.predecoded = handlers
         return handlers
 
+    def _fetch_entries(self, deferred) -> dict | None:
+        """The accounting entry of each instruction's fetch, for a run
+        over the deferred view ``deferred`` to append without the byte
+        path; None when its fetches must take the checked path.
+
+        Only a backing space that keeps no access trace, with every
+        instruction of the program in an executable region, qualifies:
+        then every fetch would succeed, and the bytes it copies are
+        never read (the predecoded handler already holds the
+        instruction). The entries are built once per program, space and
+        kind of view (see ``fetch_entries`` in :mod:`repro.system.bus`).
+        """
+        space = deferred.space
+        if space.trace_enabled:
+            return None
+        check = self._fetch_check
+        if (check is None or check[0] is not space
+                or check[1] is not type(deferred)):
+            addresses = self.program.by_address
+            entries = (deferred.fetch_entries(addresses, INSTRUCTION_SIZE)
+                       if fetchable(space, addresses) else None)
+            check = self._fetch_check = (space, type(deferred), entries)
+        return check[2]
+
     def _jit(self):
         """This machine's JIT engine, or None when JIT can't apply here
         (unsupported space type, or no read-write region holding
@@ -442,10 +483,14 @@ class Machine:
         On a space that can defer its bus accounting (a virtual-bus
         :class:`~repro.system.bus.ProcessView` whose bus records no
         per-access samples) the loop runs over the deferred view: bytes
-        move at once and the accesses are replayed in one batch when
-        the run ends (a fault included) and every ``FLUSH_LIMIT // 4``
-        steps, as a JIT block's are. :meth:`step` stays the per-access
-        reference.
+        move at once and the accesses, already mapped to the process's
+        linear pages, are replayed in one batch when the run ends (a
+        fault included) and every ``FLUSH_LIMIT // 4`` steps, as a JIT
+        block's are. When :meth:`_fetch_entries` allows, a recorded
+        fetch then only appends its accounting entry to that batch;
+        otherwise it takes the checked byte path, so fetch faults and
+        the space's access trace are as before. :meth:`step` stays the
+        per-access reference.
         """
         if self.jit if jit is None else jit:
             engine = self._jit()
@@ -456,10 +501,20 @@ class Machine:
         regs = self.regs
         record = self.record_fetches
         view = self.space
-        pending: list[tuple] = []      # deferred bus accounting
         defer = getattr(view, "deferred", None)
-        deferred = defer(pending) if defer is not None else None
-        fetch = (view if deferred is None else deferred).fetch
+        deferred = defer() if defer is not None else None
+        entries = None                 # fetch accounting without bytes
+        if deferred is None:
+            fetch = view.fetch
+        else:
+            pending = deferred.pending       # deferred bus accounting
+            fetch = deferred.fetch
+            if record:
+                # each fetch's linear page, where the loop may append it
+                # without the byte path
+                entries = self._fetch_entries(deferred)
+                page = pending.vaddrs.append
+                flag = pending.writes.append
         rec = self.recorder
         traced = rec.enabled
         steps = self.steps
@@ -523,7 +578,12 @@ class Machine:
                                           "what": _fell_off(eip, steps)})
                     raise MachineFault(_fell_off(eip, steps))
                 if record:
-                    fetch(eip, INSTRUCTION_SIZE)
+                    if entries is None:
+                        fetch(eip, INSTRUCTION_SIZE)
+                    else:
+                        page(entries[eip])
+                        flag(False)
+                        pending.fetches += 1
                 try:
                     next_eip = handler(self, eip + INSTRUCTION_SIZE)
                 except BaseException as exc:
