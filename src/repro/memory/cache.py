@@ -145,6 +145,9 @@ class Cache:
         #: old (tag, dirty) of the line the last allocating miss
         #: replaced, None if the way was empty (read by access())
         self._evicted: tuple[int, bool] | None = None
+        #: the line the last probe hit or filled, None if a store miss
+        #: allocated nothing (read by CacheHierarchy.replay)
+        self._line: Line | None = None
         #: shared trace recorder (see repro.obs); NULL_RECORDER when off
         self.recorder = coalesce(recorder)
         self.trace_name = trace_name
@@ -200,12 +203,13 @@ class Cache:
 
         The cache's one transition: clock tick before the bounds check,
         hit scan, write policy, victim choice and per-set RNG draws,
-        prefetch and counter samples. On an allocating miss it leaves
-        the victim's old ``(tag, dirty)`` (None for an empty way) in
-        ``_evicted``. The memory buses call it for every access (the
-        virtual bus, through :meth:`CacheHierarchy.replay`, for every
-        access not proved an L1 hit), and every other path reaches line
-        state through it:
+        prefetch and counter samples. It leaves the line it hit or
+        filled in ``_line`` (None when a store miss allocates nothing)
+        and, on an allocating miss, the victim's old ``(tag, dirty)``
+        (None for an empty way) in ``_evicted``. The memory buses call
+        it for every access (the virtual bus, through
+        :meth:`CacheHierarchy.replay`, for every access not proved an L1
+        hit), and every other path reaches line state through it:
         :meth:`access` builds its :class:`AccessResult` over it, and
         :meth:`access_many`, the hierarchy and the run heads of the
         vectorized engine's skewed-trace replay loop over it.
@@ -225,6 +229,7 @@ class Cache:
         for line in ways:
             if line.valid and line.tag == tag:
                 line.last_used = clock
+                self._line = line
                 if kind == "store":
                     stats.store_hits += 1
                     if config.write_policy == "write-back":
@@ -241,6 +246,7 @@ class Cache:
             stats.store_misses += 1
             if not config.write_allocate:
                 stats.memory_writes += 1
+                self._line = None
                 if self.recorder.enabled:
                     self._record_counters()
                 return False
@@ -250,6 +256,7 @@ class Cache:
         victim = self._evict(ways, index)
         evicted = victim.valid
         self._evicted = (victim.tag, victim.dirty) if evicted else None
+        self._line = victim
         victim.valid = True
         victim.tag = tag
         victim.last_used = clock
@@ -411,16 +418,6 @@ class Cache:
         parts = self.layout.divide(address)
         return any(l.valid and l.tag == parts.tag
                    for l in self.sets[parts.index])
-
-    def line_of(self, address: int) -> Line | None:
-        """The resident line holding ``address``'s block, or None (no
-        bounds check: for addresses :meth:`probe` has accepted)."""
-        tag = address >> self._tag_shift
-        for line in self.sets[(address >> self._offset_bits)
-                              & self._index_mask]:
-            if line.valid and line.tag == tag:
-                return line
-        return None
 
     def set_state(self, index: int) -> list[tuple[bool, int, bool]]:
         """(valid, tag, dirty) per way — what students draw per step."""

@@ -67,26 +67,27 @@ class CacheHierarchy:
 
         Exactly :meth:`probe` per access, in pure Python, with L1's
         resident case collapsed: the batch remembers the L1 line each
-        block was last found in, and an access whose line still holds
-        its block is a certain L1 hit (tags are unique within a set). It
-        costs a dict lookup and a tag compare; a store sets the line's
-        dirty bit at once under write-back. The other
-        effects (L1's clock and hit counts, each line's ``last_used``,
-        write-through traffic) are applied before the next
-        :meth:`probe` and at the end. The levels below L1 see L1's miss
-        stream, in order, through :meth:`probe`.
+        block was last found in (``Cache._line``), and an access whose
+        line still holds its block is a certain L1 hit (tags are unique
+        within a set). It costs a dict lookup and a tag compare; a
+        store sets the line's dirty bit at once under write-back. The
+        other effects (L1's clock and hit counts, each line's
+        ``last_used``, write-through traffic) are applied before the
+        next :meth:`probe` and at the end. The levels below L1 see L1's
+        miss stream, in order, through :meth:`probe`.
 
-        A collapsed hit records no counter sample, so with L1's
-        recorder enabled nothing is collapsed.
+        The levels record nothing during the batch (as in
+        :meth:`Cache.access_many`); each level the batch reached then
+        records one counter sample, as :meth:`simulate_arrays` does.
         """
-        l1 = self.levels[0]
-        counts = [0] * (len(self.levels) + 1)
+        from repro.obs.recorder import NULL_RECORDER
+        levels = self.levels
+        l1 = levels[0]
+        counts = [0] * (len(levels) + 1)
         offset_bits = l1._offset_bits
         tag_shift = l1._tag_shift
         write_back = l1.config.write_policy == "write-back"
-        collapse = not l1.recorder.enabled
         probe = self.probe
-        line_of = l1.line_of
         resident: dict = {}            # block -> the L1 line it was in
         last: dict[int, int] = {}      # collapsed block -> last index
         base = l1._clock               # access i ticks L1 to base+i+1
@@ -106,28 +107,41 @@ class CacheHierarchy:
             counts[0] += count
             last.clear()
 
-        for i, (addr, store) in enumerate(zip(addrs, stores)):
-            block = addr >> offset_bits
-            line = resident.get(block)
-            if line is not None and line.tag == addr >> tag_shift:
-                last[block] = i
-                if store:
-                    stored += 1
-                    if write_back:
-                        line.dirty = True
-                continue
-            if last:
-                settle(i)
-                stored = 0
-            level = probe(addr, "store" if store else "load")
-            done = i + 1
-            counts[level] += 1
-            if collapse:
-                line = line_of(addr)
+        recorders = [cache.recorder for cache in levels]
+        for cache in levels:
+            cache.recorder = NULL_RECORDER     # one sample per level, below
+        try:
+            for i, (addr, store) in enumerate(zip(addrs, stores)):
+                block = addr >> offset_bits
+                line = resident.get(block)
+                if line is not None and line.tag == addr >> tag_shift:
+                    last[block] = i
+                    if store:
+                        stored += 1
+                        if write_back:
+                            line.dirty = True
+                    continue
+                if last:
+                    settle(i)
+                    stored = 0
+                level = probe(addr, "store" if store else "load")
+                done = i + 1
+                counts[level] += 1
+                line = l1._line
                 if line is not None:
                     resident[block] = line
-        if last:
-            settle(i + 1)
+            if last:
+                settle(i + 1)
+        finally:
+            for cache, recorder in zip(levels, recorders):
+                cache.recorder = recorder
+        reached = sum(counts)
+        for cache, count in zip(levels, counts):
+            if not reached:
+                break
+            if cache.recorder.enabled:
+                cache._record_counters()
+            reached -= count
         return counts
 
     def run_trace(self, accesses: Iterable[int | tuple[int, AccessKind]]
