@@ -36,8 +36,8 @@ class Translation:
 class BatchTranslation:
     """What a :meth:`MMU.translate_many` batch did, in aggregate.
 
-    ``paddrs`` is the per-access physical address array (the same
-    values ``Translation.paddr`` would carry, computed vectorized); the
+    ``paddrs`` is the per-access physical address array (the values
+    ``Translation.paddr`` would carry, from :meth:`MMU.replay`); the
     counters are this batch's deltas against :class:`MmuStats` /
     :class:`~repro.vm.tlb.TlbStats`.
     """
@@ -192,9 +192,10 @@ class MMU:
         instant and the TLB fill; then frame touch, referenced/dirty
         bits and the counter sample. A fault's ``(evicted,
         wrote_back)`` is kept for :meth:`access` to read back. The
-        virtual bus reaches it through :meth:`replay`, for every access
-        not proved a TLB hit; :meth:`access` builds the homework's
-        :class:`Translation` row over it.
+        virtual bus calls it for a lone access and through
+        :meth:`replay` for a batch's accesses not proved a TLB hit;
+        :meth:`access` builds the homework's :class:`Translation` row
+        over it.
         """
         pid = self.current_pid
         if pid is None:
@@ -290,8 +291,13 @@ class MMU:
         :meth:`translate` and at the end, so every scalar step sees the
         state the access-by-access walk would leave.
 
-        A collapsed hit records no counter sample, so with the recorder
-        (the MMU's or the TLB's) enabled nothing is collapsed.
+        The MMU's one batch engine: the virtual bus accounts its
+        batches here, and :meth:`translate_many` wraps it. While a
+        recorder (the MMU's or the TLB's) is enabled, only a run of
+        accesses to the page last translated collapses, so the trace
+        holds :meth:`translate`'s events at the head of each same-page
+        run, one TLB sample for the rest of the run, and one cumulative
+        "vm" sample at the end of the batch.
         """
         pid = self.current_pid
         if pid is None:
@@ -301,7 +307,7 @@ class MMU:
         mask = self.page_size - 1
         translate = self.translate
         append = paddrs.append
-        collapse = not (self.recorder.enabled or self.tlb.recorder.enabled)
+        recording = self.recorder.enabled or self.tlb.recorder.enabled
         resident: dict[int, int] = {}  # vpn -> frame base, since a miss
         last: dict[int, int] = {}      # collapsed vpn -> last batch index
         base = self._clock             # access i ticks the clock to base+i+1
@@ -332,104 +338,45 @@ class MMU:
                 settle(i)
             paddr, tlb_hit, _ = translate(vaddr, write)
             done = i + 1
-            if collapse:
-                if not tlb_hit:
-                    resident.clear()
-                resident[vpn] = paddr & ~mask
+            if recording or not tlb_hit:
+                resident.clear()
+            resident[vpn] = paddr & ~mask
             append(paddr)
         if last:
             settle(i + 1)
+        if self.recorder.enabled:
+            self._record_counters()
 
     def translate_many(self, vaddrs, *, writes=None,
                        pid: int | None = None) -> BatchTranslation:
-        """Batch-translate a whole address trace for one process.
-
-        The vectorized analogue of calling :meth:`access` per address:
-        page numbers and offsets are extracted in one numpy pass, and
-        runs of consecutive accesses to the same page — the common case
-        for ``from_address_space``-style traces — collapse into a
-        single :meth:`translate` at the run head plus bulk-accounted
-        TLB hits (:meth:`~repro.vm.tlb.TLB.record_repeat_hits`), so
-        faults batch to one handler invocation per run instead of a
-        per-address Python round trip. Stats, TLB contents and recency order, page
-        tables, frame metadata, and the returned physical addresses are
-        all identical to the scalar walk; a :class:`ProtectionFault`
-        surfaces at exactly the access where the scalar walk would
-        raise it, with all earlier accesses already applied.
-
-        ``writes`` is an optional bool array-like (default: all loads).
-        Returns a :class:`BatchTranslation` with the per-access
-        physical addresses and this batch's stat deltas.
+        """Translate a whole address trace for one process, after a
+        context switch to ``pid`` if given: :meth:`replay` over the
+        trace, returned as a :class:`BatchTranslation` with the
+        per-access physical addresses (an int64 array) and this batch's
+        stat deltas. ``writes`` is an optional bool array-like (default:
+        all loads). End state, recorded events and the position of a
+        :class:`ProtectionFault` are :meth:`replay`'s.
         """
         import numpy as np
         if pid is not None:
             self.context_switch(pid)
-        if self.current_pid is None:
-            raise VmError("no process is running")
-        pid = self.current_pid
-        table = self._table(pid)
-        vaddrs = np.asarray(vaddrs, dtype=np.int64)
+        vaddrs = np.asarray(vaddrs, dtype=np.int64).tolist()
         if writes is None:
-            writes = np.zeros(len(vaddrs), dtype=bool)
+            writes = [False] * len(vaddrs)
         else:
-            writes = np.asarray(writes, dtype=bool)
-            if writes.shape != vaddrs.shape:
+            writes = np.asarray(writes, dtype=bool).tolist()
+            if len(writes) != len(vaddrs):
                 raise VmError("writes mask must match vaddrs in length")
-        vpns = vaddrs >> self._offset_bits
-        offsets = vaddrs & (self.page_size - 1)
-        frames = np.zeros(len(vaddrs), dtype=np.int64)
-
-        accesses0 = self.stats.accesses
-        faults0 = self.stats.page_faults
-        evictions0 = self.stats.evictions
-        writebacks0 = self.stats.writebacks
-        tlb_hits0 = self.tlb.stats.hits
-
-        if len(vaddrs):
-            heads = np.flatnonzero(np.r_[True, vpns[1:] != vpns[:-1]])
-            ends = np.r_[heads[1:], len(vaddrs)]
-            for start, end in zip(heads.tolist(), ends.tolist()):
-                vpn = int(vpns[start])
-                run_writes = writes[start:end]
-                entry = table.entry(vpn)
-                if not entry.writable and bool(run_writes.any()):
-                    # a write will protection-fault somewhere in this
-                    # run: replay it scalar so the fault lands exactly
-                    # where the per-address walk raises it
-                    for i in range(start, end):
-                        paddr = self.translate(int(vaddrs[i]),
-                                               bool(writes[i]))[0]
-                        frames[i] = paddr >> self._offset_bits
-                    continue
-                paddr = self.translate(int(vaddrs[start]),
-                                       write=bool(run_writes[0]))[0]
-                frame = paddr >> self._offset_bits
-                frames[start:end] = frame
-                rest = end - start - 1
-                if rest:
-                    # the page is now resident and most-recent in the
-                    # TLB; the remaining accesses of the run are pure
-                    # TLB hits — account them in bulk
-                    self.stats.accesses += rest
-                    self._clock += rest
-                    self.tlb.record_repeat_hits(pid, vpn, rest)
-                    self.physical.touch(frame, self._clock)
-                    entry.referenced = True
-                    if bool(run_writes[1:].any()):
-                        entry.dirty = True
-
-        if self.recorder.enabled:
-            # bulk-accounted repeat hits advanced the stats without a
-            # per-access sample; one cumulative sample closes the batch
-            self._record_counters()
-        paddrs = (frames << self._offset_bits) | offsets
-        return BatchTranslation(
-            pid=pid, paddrs=paddrs,
-            accesses=self.stats.accesses - accesses0,
-            tlb_hits=self.tlb.stats.hits - tlb_hits0,
-            page_faults=self.stats.page_faults - faults0,
-            evictions=self.stats.evictions - evictions0,
-            writebacks=self.stats.writebacks - writebacks0)
+        stats, tlb = self.stats, self.tlb.stats
+        before = (stats.accesses, tlb.hits, stats.page_faults,
+                  stats.evictions, stats.writebacks)
+        paddrs: list[int] = []
+        self.replay(vaddrs, writes, paddrs)
+        after = (stats.accesses, tlb.hits, stats.page_faults,
+                 stats.evictions, stats.writebacks)
+        return BatchTranslation(self.current_pid,
+                                np.array(paddrs, dtype=np.int64),
+                                *(a - b for a, b in zip(after, before)))
 
     # -- trace + analysis ------------------------------------------------------------
 

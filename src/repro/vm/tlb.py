@@ -88,16 +88,6 @@ class TLB:
             self._entries.popitem(last=False)   # evict LRU
         self._entries[key] = frame
 
-    def record_repeat_hits(self, pid: int, vpn: int, count: int) -> None:
-        """Account ``count`` repeated hits to one resident entry at once.
-
-        The batch translation path
-        (:meth:`~repro.vm.mmu.MMU.translate_many`) collapses a run of
-        accesses to one page into a single walk plus ``count`` TLB
-        hits; this is :meth:`record_hits` for that one page.
-        """
-        self.record_hits(pid, (vpn,), count)
-
     def record_hits(self, pid: int, vpns, count: int) -> None:
         """Account ``count`` hits to resident entries at once.
 

@@ -84,15 +84,37 @@ def test_protection_fault_lands_where_the_walk_raises():
     assert full_state(replay) == full_state(walk)
 
 
-def test_traced_replay_collapses_nothing():
-    """With a recorder, every access keeps its counter sample."""
-    walk = make_mmu("lru", False, TraceRecorder())
-    replay = make_mmu("lru", False, TraceRecorder())
+def test_traced_replay_collapses_same_page_runs():
+    """With a recorder, only a run on the page last translated collapses:
+    each run head records what ``translate`` records, the rest of the run
+    one TLB sample, and the batch ends with one "vm" sample."""
+    walk = make_mmu("lru", False, TraceRecorder(policies={"*": "all"}))
+    replay = make_mmu("lru", False, TraceRecorder(policies={"*": "all"}))
     vaddrs = [0, 4, 8, 300, 12, 304, 16]
     writes = [False] * len(vaddrs)
     for v, w in zip(vaddrs, writes):
         walk.translate(v, w)
     replay.replay(vaddrs, writes, [])
     assert full_state(replay) == full_state(walk)
-    assert ([(e.name, e.ts, e.args) for e in replay.recorder.events()]
-            == [(e.name, e.ts, e.args) for e in walk.recorder.events()])
+    tlb = ("hits", "misses", "flushes")
+    vm = ("accesses", "page_faults", "evictions", "writebacks")
+
+    def fault(vpn):
+        return {"pid": 1, "vpn": vpn, "evicted": None, "wrote_back": False}
+
+    assert [(e.name, e.ts, e.args) for e in replay.recorder.events()] == [
+        ("tlb", 1, dict(zip(tlb, (0, 1, 0)))),
+        ("page-fault", 1, fault(0)),
+        ("vm", 1, dict(zip(vm, (1, 1, 0, 0)))),
+        ("tlb", 2, dict(zip(tlb, (2, 1, 0)))),      # 4 and 8 collapse
+        ("tlb", 3, dict(zip(tlb, (2, 2, 0)))),
+        ("page-fault", 4, fault(1)),
+        ("vm", 4, dict(zip(vm, (4, 2, 0, 0)))),
+        ("tlb", 4, dict(zip(tlb, (3, 2, 0)))),
+        ("vm", 5, dict(zip(vm, (5, 2, 0, 0)))),
+        ("tlb", 5, dict(zip(tlb, (4, 2, 0)))),
+        ("vm", 6, dict(zip(vm, (6, 2, 0, 0)))),
+        ("tlb", 6, dict(zip(tlb, (5, 2, 0)))),
+        ("vm", 7, dict(zip(vm, (7, 2, 0, 0)))),
+        ("vm", 7, dict(zip(vm, (7, 2, 0, 0)))),    # the batch's sample
+    ]

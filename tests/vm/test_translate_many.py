@@ -149,29 +149,31 @@ def test_no_process():
         make_mmu().translate_many(np.asarray([0]))
 
 
-class TestRecordRepeatHits:
+class TestRecordHits:
     def test_counts_and_recency(self):
         mmu = make_mmu()
         mmu.create_process(1, 8)
-        mmu.access(0)            # page 0 now resident + in TLB
-        mmu.access(256)          # page 1 more recent
+        for page in range(4):
+            mmu.access(page * 256)   # TLB order, LRU first: 0, 1, 2, 3
         before = mmu.tlb.stats.hits
-        mmu.tlb.record_repeat_hits(1, 0, 5)
+        # pages in their last-use order: each moves to most-recently-used
+        mmu.tlb.record_hits(1, (2, 0, 3), 5)
         assert mmu.tlb.stats.hits == before + 5
-        # page 0 moved back to most-recently-used
-        assert list(mmu.tlb._entries)[-1] == (0, 0)
+        assert list(mmu.tlb._entries) == [(0, 1), (0, 2), (0, 0), (0, 3)]
 
     def test_rejects_negative_count(self):
         mmu = make_mmu()
         mmu.create_process(1, 4)
         mmu.access(0)
         with pytest.raises(VmError):
-            mmu.tlb.record_repeat_hits(1, 0, -1)
+            mmu.tlb.record_hits(1, (0,), -1)
 
     def test_rejects_non_resident_entry(self):
         mmu = make_mmu()
-        with pytest.raises(VmError, match="not in the TLB"):
-            mmu.tlb.record_repeat_hits(1, 3, 2)
+        mmu.create_process(1, 8)
+        mmu.access(0)
+        with pytest.raises(VmError, match="page 3 of pid 1 is not in"):
+            mmu.tlb.record_hits(1, (0, 3), 2)
 
 
 class TestSlots:
