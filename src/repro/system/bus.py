@@ -30,19 +30,20 @@ rules: hooks guard on ``recorder.enabled`` and never change behaviour.
 
 The virtual bus accounts with one engine, :meth:`VirtualBus._replay`:
 an exact, in-order pass over a batch of accesses, one linear page per
-page touched, that collapses resident TLB and L1 hits. A JIT block's
-accesses are one batch of ``(kind, address, size)`` tuples, which
-:meth:`VirtualBus._linear` maps to linear pages first. An untraced
-interpreted slice's accesses are one batch too
-(:meth:`ProcessView.deferred`): they move their bytes at once, record
-their linear pages as they go, and are accounted when the slice ends.
-A single access (:meth:`VirtualBus.read_for` and friends) is what the
-engine runs for a batch of one, one ``MMU.translate`` and one
-``CacheHierarchy.probe``, without the batch set-up. Collapsing would
-skip the per-access counter samples a recorder keeps, so a traced run
-accounts interpreted accesses one at a time and replays JIT blocks
-through the numpy engines (``MMU.translate_many``,
-``CacheHierarchy.simulate_arrays``), recording what it always has.
+page touched, that runs :meth:`MMU.replay` and then
+:meth:`CacheHierarchy.replay`. A JIT block's accesses are one batch of
+``(kind, address, size)`` tuples, which :meth:`VirtualBus._linear` maps
+to linear pages first. An untraced interpreted slice's accesses are one
+batch too (:meth:`ProcessView.deferred`): they move their bytes at
+once, record their linear pages as they go, and are accounted when the
+slice ends. Untraced, the engines collapse resident TLB and L1 hits;
+traced, they record by one rule, whatever the batch: the MMU collapses
+only a run on the page it last translated and samples once at the end
+of the batch, and each cache level samples once per batch it reached.
+A single access (:meth:`VirtualBus.read_for` and friends, which a
+traced interpreted run issues) is accounted access by access, one
+``MMU.translate`` and one ``CacheHierarchy.probe`` per page it
+touches, so its trace keeps every per-access sample.
 """
 
 from __future__ import annotations
@@ -574,12 +575,12 @@ class VirtualBus:
     ``writable`` bit is left permissive), so a stray store faults with
     the same :class:`~repro.errors.SegmentationFault` a flat run raises.
 
-    Every access is accounted by one engine, :meth:`_replay`, over
-    batches: a JIT block's or an untraced interpreted slice's from
+    Every batch is accounted by one engine, :meth:`_replay`: a JIT
+    block's or an untraced interpreted slice's, from
     :meth:`replay_block_for`. A single access from :meth:`read_for` and
-    friends takes the engine's batch-of-one steps directly
-    (:meth:`_account`). End state and charges equal an access-by-access
-    walk whatever the batch size.
+    friends is translated and probed page by page (:meth:`_account`).
+    End state and charges equal an access-by-access walk whatever the
+    batch size.
     """
 
     kind = "virtual"
@@ -700,16 +701,16 @@ class VirtualBus:
 
     def _replay(self, pid: int, accesses) -> None:
         """Account a batch of ``pid``'s accesses, in order: the bus's one
-        accounting engine. The batch is a :class:`_LinearBatch` or
-        ``(kind, address, size)`` tuples (see :meth:`_linear`).
+        batch engine, traced or not. The batch is a :class:`_LinearBatch`
+        or ``(kind, address, size)`` tuples (see :meth:`_linear`).
 
         One :meth:`MMU.replay` pass translates every touched page and
         one :meth:`CacheHierarchy.replay` pass probes the physical
         addresses (fetches probe like loads). Both are exact in-order
-        walks in pure Python that collapse resident TLB and L1 hits, and
-        MMU and cache state are independent, so end state and charges
-        equal an access-by-access walk; each cycle bucket is charged
-        once per batch.
+        walks in pure Python that collapse resident TLB and L1 hits (by
+        their recording rule while traced), and MMU and cache state are
+        independent, so end state and charges equal an access-by-access
+        walk; each cycle bucket is charged once per batch.
         """
         proc = self._proc(pid)
         mmu = self.mmu
@@ -774,21 +775,21 @@ class VirtualBus:
 
     def _account(self, pid: int, proc: _Process, kind: str, address: int,
                  size: int) -> None:
-        """Account one access of ``pid``: :meth:`_replay`'s batch of one,
-        without the batch set-up.
-
-        A single-page access is one :meth:`MMU.translate` and one
-        :meth:`CacheHierarchy.probe` (what both replay engines run for a
-        lone access), charged bucket by bucket as :meth:`_replay`
-        charges them; a page-crossing access goes through
-        :meth:`_replay`.
+        """Account one access of ``pid``, access by access: one
+        :meth:`MMU.translate` per page it touches, then one
+        :meth:`CacheHierarchy.probe` per page (the order :meth:`_replay`
+        runs them in), charged bucket by bucket as :meth:`_replay`
+        charges them. A traced run keeps every one of their counter
+        samples.
         """
         shift = self._offset_bits
-        offset = address & (self.page_size - 1)
+        page_size = self.page_size
+        offset = address & (page_size - 1)
         vpn = proc.vpn_of.get(address >> shift)
-        if vpn is None or offset + size > self.page_size:
-            self._replay(pid, ((kind, address, size),))
-            return
+        if vpn is not None and offset + size <= page_size:
+            vaddrs = ((vpn << shift) | offset,)
+        else:
+            vaddrs = _split(proc.vpn_of, shift, page_size, address, size)
         mmu = self.mmu
         if mmu.current_pid != pid:
             mmu.context_switch(pid)
@@ -802,44 +803,26 @@ class VirtualBus:
             stats.fetches += 1
         tlb = mmu.tlb.stats
         hits, misses, faults = tlb.hits, tlb.misses, mmu.stats.page_faults
+        paddrs = []
         try:
-            paddr = mmu.translate((vpn << shift) | offset, write)[0]
+            for vaddr in vaddrs:
+                paddrs.append(mmu.translate(vaddr, write)[0])
         finally:
+            # on a fault, the pages translated before it are charged and
+            # probe the caches, as in _replay
             self._charge_translations(tlb.hits - hits, tlb.misses - misses,
                                       mmu.stats.page_faults - faults)
-        _charge_probe(stats, self.hierarchy, self.cost, paddr,
-                      "store" if write else "load")
+            for paddr in paddrs:
+                _charge_probe(stats, self.hierarchy, self.cost, paddr,
+                              "store" if write else "load")
 
     def replay_block_for(self, pid: int, accesses) -> None:
-        """Account a batch of deferred accesses: a JIT block's
-        ``(kind, address, size)`` tuples, or an interpreted slice's
-        :class:`_LinearBatch` (see :meth:`ProcessView.deferred`).
-
-        Through :meth:`_replay`, the engine every access takes, unless
-        the bus :meth:`samples` per access. A traced run keeps the
-        numpy route, which records what it always has: one
-        :meth:`MMU.translate_many` call covers every touched page (same
-        TLB/page-table/frame transitions as the scalar walk, pinned by
-        the MMU's own tests), and the resulting physical addresses probe
-        the caches through one ``simulate_arrays`` call.
-        """
-        if not accesses:
-            return
-        if not self.samples():
+        """Account a batch of deferred accesses, traced or not: a JIT
+        block's ``(kind, address, size)`` tuples, or an interpreted
+        slice's :class:`_LinearBatch` (see :meth:`ProcessView.deferred`),
+        through :meth:`_replay`."""
+        if accesses:
             self._replay(pid, accesses)
-            return
-        vaddrs, writes, loads, stores = self._linear(self._proc(pid),
-                                                     accesses)
-        self.stats.loads += loads
-        self.stats.stores += stores
-        self.stats.fetches += len(accesses) - loads - stores
-        store_mask = np.array(writes, dtype=bool)
-        t = self.mmu.translate_many(vaddrs, writes=store_mask, pid=pid)
-        self._charge_translations(t.tlb_hits, t.accesses - t.tlb_hits,
-                                  t.page_faults)
-        _charge_hit_levels(self.stats, self.hierarchy, self.cost,
-                           self.hierarchy.simulate_arrays(t.paddrs,
-                                                          store_mask))
 
     def describe(self) -> str:
         levels = " -> ".join(

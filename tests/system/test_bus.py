@@ -4,6 +4,7 @@ import pytest
 
 from repro.clib.address_space import HEAP_BASE, TEXT_BASE, AddressSpace
 from repro.errors import BusError, SegmentationFault
+from repro.obs import TraceRecorder
 from repro.system.bus import (
     BUS_KINDS,
     CachedBus,
@@ -104,6 +105,31 @@ class TestVirtualBus:
         assert bus.mmu.stats.accesses == 2
         assert bus.mmu.stats.page_faults == 2
         assert view.read(last, 4) == b"abcd"
+
+    def test_traced_page_crossing_keeps_per_access_records(self):
+        """A lone access is one translate and one probe per page it
+        touches, traced as such, with no batch-end samples."""
+        def traced_bus():
+            bus = VirtualBus(recorder=TraceRecorder(policies={"*": "all"}))
+            bus.create_process(1).read(HEAP_BASE, 4)
+            return bus
+
+        bus, walk = traced_bus(), traced_bus()
+        last = HEAP_BASE + bus.page_size - 2
+        bus.view(1).read(last, 4)
+        vpn_of = walk._proc(1).vpn_of
+        paddrs = [walk.mmu.translate((vpn_of[addr // walk.page_size]
+                                      * walk.page_size)
+                                     | (addr % walk.page_size))[0]
+                  for addr in (last, last + 2)]
+        for paddr in paddrs:
+            walk.hierarchy.probe(paddr)
+        events = [[(e.name, e.ts, e.args) for e in b.mmu.recorder.events()]
+                  for b in (bus, walk)]
+        assert events[0] == events[1]
+        # page 0 hits the TLB, page 1 faults; each probe misses L1 and L2
+        assert [name for name, _, _ in events[0][-9:]] == [
+            "tlb", "vm", "tlb", "page-fault", "vm", "L1", "L2", "L1", "L2"]
 
     def test_permission_faults_match_flat(self):
         bus = VirtualBus()
