@@ -8,8 +8,9 @@ records how much faster it gets there.
   skewed hot-loop trace replays its same-line runs through
   ``Cache.probe``) vs folding ``Cache.access`` over the same trace
   (``run_trace``).
-* vm     — ``MMU.translate_many`` (run-collapsed page walks) vs a
-  per-address ``access`` loop.
+* vm     — ``MMU.translate_many``, which runs ``MMU.replay`` (the
+  MMU's one batch engine, collapsing resident TLB hits; the row keeps
+  its ``translate_many`` label) vs a per-address ``access`` loop.
 * isa    — the predecoded ``Machine.run`` handler table vs the
   ``step()`` interpreter.
 

@@ -4,7 +4,7 @@ The trace-driven engines (the caching homework's
 :meth:`~repro.memory.cache.Cache.simulate_trace`, the VM homework's
 :meth:`~repro.vm.mmu.MMU.translate_many`) are embarrassingly shardable:
 split the access trace, give every node its *own* cache or MMU, run the
-vectorized engine on each shard, then **merge** the per-shard counters
+batch engine on each shard, then **merge** the per-shard counters
 into cluster totals. That is map-reduce in its original shape — map a
 pure engine over shards, reduce associative counters — and it is how a
 trace too big for one machine (millions of users' worth of accesses)
@@ -185,7 +185,9 @@ def map_reduce_translate(vaddrs, *, nodes: int, schedule: str = "block",
 
     Each node gets its own :class:`~repro.vm.mmu.MMU` (private TLB,
     page table, frames) and batch-translates its shard with
-    :meth:`~repro.vm.mmu.MMU.translate_many`; cycles follow the EAT
+    :meth:`~repro.vm.mmu.MMU.translate_many`, the stat-delta wrapper
+    over the MMU's one batch engine, :meth:`~repro.vm.mmu.MMU.replay`;
+    cycles follow the EAT
     vocabulary — every access probes the TLB, a miss walks the table,
     a fault pays ``fault_service_time``.
     """

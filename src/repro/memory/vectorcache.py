@@ -17,7 +17,7 @@ all: residency follows from segmented forward-fills over the set-sorted
 trace. A *skewed* trace — a few hot sets taking most accesses, as in
 the compiled inner loops the JIT's cached bus replays — would make the
 rounds degenerate into one numpy call per access, so it is replayed one
-*same-line run* at a time, the way ``MMU.translate_many`` collapses
+*same-line run* at a time, the way a traced ``MMU.replay`` collapses
 runs of same-page accesses: an access with the set and tag of the
 previous access to its set, when that access allocated the line, is a
 hit by construction. Each run head is one scalar :meth:`Cache.probe`;
