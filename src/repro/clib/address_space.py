@@ -46,6 +46,40 @@ class Access:
     size: int
 
 
+# A deferred bus access (a JIT block's, or an interpreted step's that
+# joins it) is one int: the address in the low 32 bits, the kind in the
+# two bits above them, and the size above those. A list of them holds
+# no per-access object for the garbage collector to track, numpy takes
+# the addresses and kinds of a batch with a mask and a shift, and a
+# JIT block appends a 4-byte access as ``address | <constant>``.
+
+#: kind codes of a record
+FETCH, LOAD, STORE = 0, 1, 2
+#: a record's kind starts at this bit; its address is the bits below
+KIND_SHIFT = 32
+#: a record's size starts at this bit
+SIZE_SHIFT = KIND_SHIFT + 2
+#: a record's address bits
+ADDRESS_MASK = (1 << KIND_SHIFT) - 1
+_KIND_CODE = {"fetch": FETCH, "load": LOAD, "store": STORE}
+_KIND_NAME = ("fetch", "load", "store")
+
+
+def encode_access(kind: AccessKind, address: int, size: int) -> int:
+    """The record of one access of a 32-bit address space."""
+    if not 0 <= address <= ADDRESS_MASK or size < 0:
+        raise CMemoryError(f"no access of {size} bytes at {address:#x} "
+                           "in a 32-bit address space")
+    return address | _KIND_CODE[kind] << KIND_SHIFT | size << SIZE_SHIFT
+
+
+def decode_access(record: int) -> tuple[AccessKind, int, int]:
+    """``(kind, address, size)`` of a record: the inverse of
+    :func:`encode_access`."""
+    return (_KIND_NAME[record >> KIND_SHIFT & 3], record & ADDRESS_MASK,
+            record >> SIZE_SHIFT)
+
+
 class MemoryRegion:
     """A contiguous mapped range with permissions."""
 

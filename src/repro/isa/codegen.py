@@ -5,7 +5,9 @@ source. It has two modes:
 
 * *Superblock* mode (:mod:`repro.isa.jit`): a straight-line run of
   instructions with registers and flags held in local variables,
-  written back on exit, and bus accounting deferred to a pending list.
+  written back on exit, and bus accounting deferred to a pending list
+  of packed access records (one int each, see
+  :func:`~repro.clib.address_space.encode_access`).
   Operand values (immediates, displacements, branch targets, return
   addresses) are named slots ``K0, K1, ...`` of an argument, not
   literals, so the text is the block's shape and one compiled shape
@@ -38,6 +40,7 @@ from __future__ import annotations
 import functools
 
 from repro.binary.twos_complement import MASK32
+from repro.clib.address_space import KIND_SHIFT, LOAD, SIZE_SHIFT, STORE
 from repro.errors import MachineFault
 from repro.isa.instructions import (
     Immediate,
@@ -145,6 +148,12 @@ class _Writer:
     def emit(self, line: str) -> None:
         self.body.append(line)
 
+    def _pend(self, a: str, kind: int) -> None:
+        """Defer the bus accounting of a 4-byte access at the address
+        atom ``a``: append its packed record (see
+        :func:`~repro.clib.address_space.encode_access`)."""
+        self.emit(f"pend({a} | {kind << KIND_SHIFT | 4 << SIZE_SHIFT})")
+
     def _ea(self, op: Memory) -> str:
         parts = []
         if op.base:
@@ -224,7 +233,7 @@ class _Writer:
             self.emit(f"{a} = {self._ea(op)}")
             v = self._load_lines(a)
             if self.bus:
-                self.emit(f"pend(('load', {a}, 4))")
+                self._pend(a, LOAD)
             return v
         raise _Unsupported(repr(op))
 
@@ -239,7 +248,7 @@ class _Writer:
             self.emit(f"{a} = {self._ea(op)}")
             self._store_lines(a, value)
             if self.bus:
-                self.emit(f"pend(('store', {a}, 4))")
+                self._pend(a, STORE)
             return
         raise _Unsupported(repr(op))
 
@@ -518,14 +527,14 @@ class _Writer:
         self.emit(f"{esp} = ({esp} - 4) & {_M32}")   # esp moves first,
         self._store_lines(esp, value)                # as in Machine.push
         if self.bus:
-            self.emit(f"pend(('store', {esp}, 4))")
+            self._pend(esp, STORE)
 
     def _pop(self) -> str:
         self.flush_fetches()
         esp = self.reg("esp")
         v = self._load_lines(esp)
         if self.bus:
-            self.emit(f"pend(('load', {esp}, 4))")
+            self._pend(esp, LOAD)
         self.emit(f"{esp} = ({esp} + 4) & {_M32}")
         return v
 

@@ -51,8 +51,9 @@ constraint, pinned by the differential tests:
   :class:`~repro.clib.address_space.AddressSpace` at the original
   points — the trace, watcher notifications, and segmentation faults
   are unchanged — while *bus accounting* is deferred: each access
-  appends a ``(kind, address, size)`` tuple to a pending list that is
-  replayed in batches through the bus's ``replay_block``, whose
+  appends one packed int record (address, size and kind; see
+  :func:`~repro.clib.address_space.encode_access`) to a pending list
+  that is replayed in batches through the bus's ``replay_block``, whose
   engines replace per-access scalar simulation; where they fall back
   to one access at a time, they run ``Cache.probe`` and
   ``MMU.translate``, the one transition each structure has. On a
@@ -88,7 +89,7 @@ from dataclasses import dataclass
 
 from repro.analysis.cfg import build_asm_cfg
 from repro.binary.twos_complement import MASK32
-from repro.clib.address_space import Access, AddressSpace
+from repro.clib.address_space import Access, AddressSpace, encode_access
 from repro.errors import MachineFault
 from repro.isa.codegen import _Unsupported, _Writer
 from repro.isa.instructions import INSTRUCTION_SIZE
@@ -181,22 +182,24 @@ class _FormedBlock:
     so shared with every block of the same shape; its ``_make`` factory
     takes every program- and machine-specific value as an argument),
     the block's operand values, the instruction addresses, the prebuilt
-    fetch accounting and trace segments, and how many bounds guards the
-    codegen elided.
+    fetch accounting (one packed record per instruction, and the runs
+    of them a block extends its pending list by) and trace segments, and
+    how many bounds guards the codegen elided.
     """
-    __slots__ = ("code", "consts", "addresses", "fetch_tuples",
+    __slots__ = ("code", "consts", "addresses", "fetch_records",
                  "fetch_accesses", "fetch_segs", "access_segs", "elided")
 
     def __init__(self, writer: _Writer) -> None:
         self.consts = tuple(writer.consts)
         self.addresses = addresses = tuple(writer.addresses)
         self.elided = writer.elided
-        self.fetch_tuples = self.fetch_accesses = None
+        self.fetch_records = self.fetch_accesses = None
         self.fetch_segs = self.access_segs = None
         if writer.record and writer.bus:
-            self.fetch_tuples = tuple(("fetch", a, INSTRUCTION_SIZE)
-                                      for a in addresses)
-            self.fetch_segs = tuple(self.fetch_tuples[a:b]
+            self.fetch_records = tuple(
+                encode_access("fetch", a, INSTRUCTION_SIZE)
+                for a in addresses)
+            self.fetch_segs = tuple(self.fetch_records[a:b]
                                     for a, b in writer.segs)
         if writer.record and writer.trace:
             self.fetch_accesses = tuple(Access("fetch", a, INSTRUCTION_SIZE)
@@ -241,7 +244,7 @@ class JitEngine:
         self.counts: dict[int, int] = {}
         self.failed: set[int] = set()
         self.stats = JitStats()
-        self.pending: list[tuple] = []
+        self.pending: list[int] = []
         self.fault_steps: int | None = None
         self._trace_ids: dict[int, int] | None = None
         self.backing, replay = _bind(machine.space)
@@ -536,7 +539,7 @@ class JitEngine:
         # popped, so the namespace (the block's globals) does not hold
         # the factory that holds the namespace
         fn = namespace.pop("_make")(m, self, formed.addresses,
-                                    formed.fetch_tuples,
+                                    formed.fetch_records,
                                     formed.fetch_accesses, formed.fetch_segs,
                                     formed.access_segs, MachineFault,
                                     formed.consts)

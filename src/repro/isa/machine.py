@@ -396,7 +396,10 @@ class Machine:
         then every fetch would succeed, and the bytes it copies are
         never read (the predecoded handler already holds the
         instruction). The entries are built once per program, space and
-        kind of view (see ``fetch_entries`` in :mod:`repro.system.bus`).
+        kind of view (see ``fetch_entries`` in :mod:`repro.system.bus`):
+        a JIT's view hands out packed access records (see
+        :func:`~repro.clib.address_space.encode_access`), an interpreted
+        run's linear pages.
         """
         space = deferred.space
         if space.trace_enabled:

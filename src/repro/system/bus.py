@@ -28,12 +28,19 @@ the :mod:`repro.system.runner` report can compare across
 configurations. Recording (``recorder=``) follows the :mod:`repro.obs`
 rules: hooks guard on ``recorder.enabled`` and never change behaviour.
 
+A JIT defers the accounting of its blocks' accesses and hands each bus
+a batch of packed records, one int per access (address, size and kind;
+see :func:`~repro.clib.address_space.encode_access`), through
+``replay_block``: the flat bus counts their kinds, and the cached bus
+takes their kinds and addresses from one numpy array with a shift and
+two masks.
+
 The virtual bus accounts with one engine, :meth:`VirtualBus._replay`:
 an exact, in-order pass over a batch of accesses, one linear page per
 page touched, that runs :meth:`MMU.replay` and then
-:meth:`CacheHierarchy.replay`. A JIT block's accesses are one batch of
-``(kind, address, size)`` tuples, which :meth:`VirtualBus._linear` maps
-to linear pages first. An untraced interpreted slice's accesses are one
+:meth:`CacheHierarchy.replay`. A JIT block's records are one batch,
+which :meth:`VirtualBus._linear` decodes and maps to linear pages
+first. An untraced interpreted slice's accesses are one
 batch too (:meth:`ProcessView.deferred`): they move their bytes at
 once, record their linear pages as they go, and are accounted when the
 slice ends. Untraced, the engines collapse resident TLB and L1 hits;
@@ -48,14 +55,14 @@ touches, so its trace keeps every per-access sample.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
-from operator import itemgetter
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.clib.address_space import AddressSpace, ByteAddressable
+from repro.clib.address_space import (ADDRESS_MASK, FETCH, KIND_SHIFT, LOAD,
+                                      SIZE_SHIFT, STORE, AddressSpace,
+                                      ByteAddressable)
 from repro.errors import BusError
 from repro.memory.cache import CacheConfig
 from repro.memory.multilevel import CacheHierarchy
@@ -197,20 +204,23 @@ class FlatBus(ByteAddressable):
         self.stats.charge("memory", self.cost.memory_time)
         return data
 
-    def replay_block(self, accesses) -> None:
-        """Account a block of deferred ``(kind, address, size)`` accesses.
+    def replay_block(self, accesses: list[int]) -> None:
+        """Account a block of deferred accesses, one packed record each
+        (see :func:`~repro.clib.address_space.encode_access`).
 
         The JIT moves a compiled block's bytes through the backing
         space directly and hands the accounting here in one call; on a
-        flat bus only the counts matter (every access costs one
+        flat bus only the kind counts matter (every access costs one
         ``memory_time``), so the whole block charges at once.
         """
         if not accesses:
             return
-        kinds = Counter(map(itemgetter(0), accesses))
-        self.stats.loads += kinds["load"]
-        self.stats.stores += kinds["store"]
-        self.stats.fetches += kinds["fetch"]
+        fetches, loads, stores = np.bincount(
+            np.array(accesses, dtype=np.int64) >> KIND_SHIFT & 3,
+            minlength=3).tolist()
+        self.stats.loads += loads
+        self.stats.stores += stores
+        self.stats.fetches += fetches
         self.stats.charge("memory", len(accesses) * self.cost.memory_time)
         if self.recorder.enabled:
             # one cumulative sample per replayed block, so JIT-batched
@@ -270,31 +280,28 @@ class CachedBus(ByteAddressable):
         _charge_probe(self.stats, self.hierarchy, self.cost, address, "load")
         return data
 
-    def replay_block(self, accesses) -> None:
-        """Account a block of deferred ``(kind, address, size)`` accesses.
+    def replay_block(self, accesses: list[int]) -> None:
+        """Account a block of deferred accesses, one packed record each
+        (see :func:`~repro.clib.address_space.encode_access`).
 
         One :meth:`CacheHierarchy.simulate_arrays` call replaces the
-        per-access scalar probes. The address array and store mask are
-        built at C speed, with no per-access Python tuple; fetches probe
-        like loads, as in :meth:`fetch`. The hierarchy sees the
+        per-access scalar probes. The records become one array; a shift
+        and a mask give their kinds, a mask their addresses. Fetches
+        probe like loads, as in :meth:`fetch`. The hierarchy sees the
         identical probe sequence, so level stats, final set state, and
         cycle charges match the scalar path exactly.
         """
         if not accesses:
             return
-        n = len(accesses)
-        kinds = list(map(itemgetter(0), accesses))
-        loads = kinds.count("load")
-        stores = kinds.count("store")
+        records = np.array(accesses, dtype=np.int64)
+        kinds = records >> KIND_SHIFT & 3
+        fetches, loads, stores = np.bincount(kinds, minlength=3).tolist()
         self.stats.loads += loads
         self.stats.stores += stores
-        self.stats.fetches += n - loads - stores
-        addrs = np.fromiter(map(itemgetter(1), accesses), dtype=np.int64,
-                            count=n)
-        store_mask = np.fromiter(map("store".__eq__, kinds), dtype=bool,
-                                 count=n)
+        self.stats.fetches += fetches
         _charge_hit_levels(self.stats, self.hierarchy, self.cost,
-                           self.hierarchy.simulate_arrays(addrs, store_mask))
+                           self.hierarchy.simulate_arrays(
+                               records & ADDRESS_MASK, kinds == STORE))
 
     def describe(self) -> str:
         levels = " -> ".join(
@@ -335,43 +342,49 @@ class _DeferredView(ByteAddressable):
 
     Each access moves its bytes through the backing
     :class:`AddressSpace` at once (faults, trace and watchers as
-    usual) and then appends ``(kind, address, size)`` to the list the
+    usual) and then appends its packed record (see
+    :func:`~repro.clib.address_space.encode_access`) to the list the
     JIT's compiled blocks append to, which
     :meth:`VirtualBus.replay_block_for` accounts later in one batch. An
     access that faults appends nothing.
     """
 
-    def __init__(self, space: AddressSpace, pending: list) -> None:
+    def __init__(self, space: AddressSpace, pending: list[int]) -> None:
         self.space = space
         self._append = pending.append
 
+    # each record is packed as encode_access packs it, inline: the space
+    # access before it has proved the address 32-bit
+
     def read(self, address: int, size: int) -> bytes:
         data = self.space.read(address, size)
-        self._append(("load", address, size))
+        self._append(address | LOAD << KIND_SHIFT | size << SIZE_SHIFT)
         return data
 
     def write(self, address: int, data: bytes) -> None:
         self.space.write(address, data)
-        self._append(("store", address, len(data)))
+        self._append(address | STORE << KIND_SHIFT | len(data) << SIZE_SHIFT)
 
     def fetch(self, address: int, size: int) -> bytes:
         data = self.space.fetch(address, size)
-        self._append(("fetch", address, size))
+        self._append(address | FETCH << KIND_SHIFT | size << SIZE_SHIFT)
         return data
 
     @staticmethod
-    def fetch_entries(addresses, size: int) -> dict[int, tuple]:
-        """The entry a fetch of ``size`` bytes at each of ``addresses``
+    def fetch_entries(addresses, size: int) -> dict[int, int]:
+        """The record a fetch of ``size`` bytes at each of ``addresses``
         appends, for a run that appends them to the pending list itself
-        (see :meth:`repro.isa.machine.Machine._fetch_entries`)."""
-        return {address: ("fetch", address, size) for address in addresses}
+        (see :meth:`repro.isa.machine.Machine._fetch_entries`, which
+        has checked every address lies in an executable region)."""
+        tag = FETCH << KIND_SHIFT | size << SIZE_SHIFT
+        return {address: address | tag for address in addresses}
 
 
 class _LinearBatch:
     """An interpreted slice's deferred accesses, in the form
     :meth:`VirtualBus._replay` walks: one linear address and store flag
     per page touched, and the access counts. ``len()`` is the number of
-    accesses, as for a list of ``(kind, address, size)`` tuples.
+    accesses, as for a JIT's list of packed records.
 
     :class:`_LinearView` appends its accesses here, and so does
     :meth:`repro.isa.machine.Machine._run` for a recorded fetch that
@@ -547,9 +560,9 @@ class ProcessView(ByteAddressable):
         traced run), which a batch would merge.
 
         Given ``pending`` (a JIT's list, which its compiled blocks
-        append ``(kind, address, size)`` tuples to), the view appends
-        tuples there too; otherwise it records linear pages into a
-        batch of its own (an interpreted run's)."""
+        append packed access records to), the view appends records
+        there too; otherwise it records linear pages into a batch of
+        its own (an interpreted run's)."""
         if self.bus.samples():
             return None
         if pending is None:
@@ -656,9 +669,10 @@ class VirtualBus:
         """The accesses as one ``(linear address, is store)`` pair per
         page touched, plus the load and store counts.
 
-        A :class:`_LinearBatch` already holds them. A batch of
-        ``(kind, address, size)`` tuples (a JIT block's) is walked here,
-        splitting page-crossing accesses as :func:`_split` does.
+        A :class:`_LinearBatch` already holds them. A JIT's list of
+        packed records is decoded here (see
+        :func:`~repro.clib.address_space.decode_access`), splitting
+        page-crossing accesses as :func:`_split` does.
         """
         if isinstance(accesses, _LinearBatch):
             return (accesses.vaddrs, accesses.writes, accesses.loads,
@@ -671,11 +685,14 @@ class VirtualBus:
         writes: list[bool] = []
         append = vaddrs.append
         loads = stores = 0
-        for kind, address, size in accesses:
-            write = kind == "store"
+        for record in accesses:
+            kind = record >> KIND_SHIFT & 3
+            address = record & ADDRESS_MASK
+            size = record >> SIZE_SHIFT
+            write = kind == STORE
             if write:
                 stores += 1
-            elif kind == "load":
+            elif kind == LOAD:
                 loads += 1
             offset = address & mask
             vpn = vpn_of.get(address >> shift)
@@ -702,7 +719,7 @@ class VirtualBus:
     def _replay(self, pid: int, accesses) -> None:
         """Account a batch of ``pid``'s accesses, in order: the bus's one
         batch engine, traced or not. The batch is a :class:`_LinearBatch`
-        or ``(kind, address, size)`` tuples (see :meth:`_linear`).
+        or a JIT's packed records (see :meth:`_linear`).
 
         One :meth:`MMU.replay` pass translates every touched page and
         one :meth:`CacheHierarchy.replay` pass probes the physical
@@ -817,10 +834,11 @@ class VirtualBus:
                               "store" if write else "load")
 
     def replay_block_for(self, pid: int, accesses) -> None:
-        """Account a batch of deferred accesses, traced or not: a JIT
-        block's ``(kind, address, size)`` tuples, or an interpreted
-        slice's :class:`_LinearBatch` (see :meth:`ProcessView.deferred`),
-        through :meth:`_replay`."""
+        """Account a batch of deferred accesses, traced or not: a JIT's
+        packed records (see
+        :func:`~repro.clib.address_space.encode_access`), or an
+        interpreted slice's :class:`_LinearBatch` (see
+        :meth:`ProcessView.deferred`), through :meth:`_replay`."""
         if accesses:
             self._replay(pid, accesses)
 

@@ -1,8 +1,10 @@
 """Block-batched bus accounting (``replay_block``) vs scalar accounting.
 
-The JIT defers a compiled block's accesses and hands them to the bus in
-one ``replay_block`` call, which routes through the vectorized engines
-(``CacheHierarchy.simulate_trace``, ``MMU.translate_many``). The
+The JIT defers a compiled block's accesses, one packed int record each
+(``encode_access``), and hands them to the bus in one ``replay_block``
+call: the cached bus runs them through
+``CacheHierarchy.simulate_arrays``, the virtual bus through its one
+batch engine (``MMU.replay``, then ``CacheHierarchy.replay``). The
 contract: batching is an *accounting transport*, never a semantic
 change — every counter, cycle bucket, cache/TLB/VM statistic, and exit
 status matches the scalar per-access path exactly.
@@ -12,7 +14,8 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.clib.address_space import HEAP_BASE, TEXT_BASE, AddressSpace
+from repro.clib.address_space import (HEAP_BASE, TEXT_BASE, AddressSpace,
+                                      encode_access)
 from repro.system.bus import CachedBus, FlatBus, VirtualBus
 from repro.system.runner import program_from_source, run_system
 
@@ -51,15 +54,16 @@ class TestReplayBlockUnits:
                 view.fetch(addr, size)
 
     def batch_drive(self, bus):
+        records = [encode_access(*access) for access in self.ACCESSES]
         if isinstance(bus, VirtualBus):
-            bus.replay_block_for(1, self.ACCESSES)
+            bus.replay_block_for(1, records)
         else:
             # move the bytes through the backing space first, the way
             # the JIT does, so only the accounting goes through replay
             for kind, addr, size in self.ACCESSES:
                 if kind == "store":
                     bus.space.write(addr, bytes(size))
-            bus.replay_block(self.ACCESSES)
+            bus.replay_block(records)
 
     def fresh(self, kind):
         if kind == "flat":
@@ -75,6 +79,7 @@ class TestReplayBlockUnits:
         scalar, batch = self.fresh(kind), self.fresh(kind)
         self.scalar_drive(scalar)
         self.batch_drive(batch)
+        assert batch.stats.accesses == len(self.ACCESSES)
         assert vars(batch.stats) == vars(scalar.stats)
         if kind in ("cached", "virtual"):
             for b, s in zip(batch.hierarchy.levels, scalar.hierarchy.levels):

@@ -8,16 +8,19 @@ also actually *use* the JIT (compiled blocks execute with the recorder
 enabled — tracing no longer forces the interpreter) and report the
 same jit stats as the untraced runs.
 
-The batched accounting transports (``replay_block`` →
-``simulate_trace`` / ``translate_many``) get the same treatment: a
-recorder attached to the bus must not perturb a single counter.
+The batched accounting transports (``replay_block`` of packed access
+records → ``CacheHierarchy.simulate_arrays`` on the cached bus,
+``MMU.replay`` and ``CacheHierarchy.replay`` on the virtual bus) get
+the same treatment: a recorder attached to the bus must not perturb a
+single counter.
 """
 
 from dataclasses import asdict
 
 import pytest
 
-from repro.clib.address_space import HEAP_BASE, TEXT_BASE, AddressSpace
+from repro.clib.address_space import (HEAP_BASE, TEXT_BASE, AddressSpace,
+                                      encode_access)
 from repro.obs import TraceRecorder, validate
 from repro.obs.chrome import to_chrome
 from repro.system.bus import CachedBus, FlatBus, VirtualBus
@@ -99,13 +102,14 @@ class TestReplayBlockTraced:
         return bus
 
     def drive(self, bus):
+        records = [encode_access(*access) for access in self.ACCESSES]
         if isinstance(bus, VirtualBus):
-            bus.replay_block_for(1, self.ACCESSES)
+            bus.replay_block_for(1, records)
             return
         for kind, addr, size in self.ACCESSES:
             if kind == "store":
                 bus.space.write(addr, bytes(size))
-        bus.replay_block(self.ACCESSES)
+        bus.replay_block(records)
 
     @pytest.mark.parametrize("kind", ["flat", "cached", "virtual"])
     def test_traced_batch_matches_untraced(self, kind):
@@ -114,6 +118,7 @@ class TestReplayBlockTraced:
         traced = self.fresh(kind, rec)
         self.drive(plain)
         self.drive(traced)
+        assert traced.stats.accesses == len(self.ACCESSES)
         assert vars(traced.stats) == vars(plain.stats)
         if kind in ("cached", "virtual"):
             for t, p in zip(traced.hierarchy.levels, plain.hierarchy.levels):
