@@ -207,6 +207,30 @@ class ScanError(NamedTuple):
 Record = Section | Label | Data | Directive | Instruction | ScanError
 
 
+def _parse_instruction(word: str, rest: str) -> tuple:
+    """``(mnemonic, operands, errors, label names)`` of an instruction
+    line's first word and the rest of it.
+
+    ``errors`` holds the ``(kind, message)`` of each reason the line is
+    rejected (then ``operands`` may be empty); ``label names`` are the
+    labels its operands refer to, in order. Operands are frozen, so one
+    parse serves every line with the same text.
+    """
+    mnemonic = word.lower()
+    mnemonic = ALIASES.get(mnemonic, mnemonic)
+    if mnemonic not in MNEMONICS:
+        return (mnemonic, (), (("unknown-mnemonic",
+                                f"unknown mnemonic {mnemonic!r}"),), ())
+    try:
+        operands = tuple(parse_operand(t) for t in _split_operands(rest))
+    except AssemblerError as exc:
+        return mnemonic, (), (("syntax", str(exc)),), ()
+    names = tuple(op.name for op in operands
+                  if isinstance(op, (LabelRef, LabelImmediate)))
+    return (mnemonic, operands, tuple(operand_errors(mnemonic, operands)),
+            names)
+
+
 def scan(source: str) -> Iterator[Record]:
     """Read AT&T source into records, one per non-blank line in order.
 
@@ -219,6 +243,9 @@ def scan(source: str) -> Iterator[Record]:
     """
     defined: dict[str, int] = {}          # label -> defining line
     used: list[tuple[str, int]] = []      # (label, line of use)
+    # instruction line text -> its parse: compiled code repeats lines
+    # (``pushl %ebp``, ``movl -4(%ebp), %eax``) many times over
+    parsed: dict[str, tuple] = {}
     in_data = False
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -261,21 +288,12 @@ def scan(source: str) -> Iterator[Record]:
             yield ScanError(lineno, "instruction-in-data",
                             "instructions are not allowed in .data")
             continue
-        mnemonic = word.lower()
-        mnemonic = ALIASES.get(mnemonic, mnemonic)
-        if mnemonic not in MNEMONICS:
-            yield ScanError(lineno, "unknown-mnemonic",
-                            f"unknown mnemonic {mnemonic!r}")
-            continue
-        try:
-            operands = tuple(parse_operand(t) for t in _split_operands(rest))
-        except AssemblerError as exc:
-            yield ScanError(lineno, "syntax", str(exc))
-            continue
-        for op in operands:
-            if isinstance(op, (LabelRef, LabelImmediate)):
-                used.append((op.name, lineno))
-        errors = operand_errors(mnemonic, operands)
+        got = parsed.get(line)
+        if got is None:
+            got = parsed[line] = _parse_instruction(word, rest)
+        mnemonic, operands, errors, names = got
+        for name in names:
+            used.append((name, lineno))
         for kind, message in errors:
             yield ScanError(lineno, kind, message)
         if not errors:

@@ -7,6 +7,8 @@ from repro.errors import AssemblerError
 from repro.isa import (
     Immediate, LabelRef, Memory, Register, assemble, parse_operand,
 )
+from repro.isa import assembler
+from repro.isa.assembler import ScanError, scan
 
 
 class TestOperandParsing:
@@ -183,3 +185,50 @@ REJECTED = [
 def test_every_error_names_its_line(src, line):
     with pytest.raises(AssemblerError, match=rf"^line {line}: "):
         assemble(src)
+
+
+class TestRepeatedLines:
+    """One parse per distinct line text serves every repeat of it, but
+    each occurrence keeps its own instruction, line, address and errors,
+    and nothing of the parse outlives the call."""
+
+    def test_identical_lines_give_distinct_instructions(self):
+        p = assemble("main:\n  pushl %ebp\n  movl 8(%ebp), %eax\n"
+                     "  pushl %ebp\n  movl 8(%ebp), %eax\n  ret")
+        first, second = p.instructions[0], p.instructions[2]
+        assert first is not second
+        assert (first.source_line, second.source_line) == (2, 4)
+        assert (first.address, second.address) == (TEXT_BASE,
+                                                    TEXT_BASE + 8)
+        assert first.label == "main" and second.label is None
+        assert first.operands == second.operands == (Register("ebp"),)
+        assert p.instructions[1].source_line == 3
+        assert p.instructions[3].source_line == 5
+
+    def test_repeated_label_reference_resolves_each_time(self):
+        p = assemble("main:\n  jmp end\n  jmp end\nend:\n  ret")
+        for ins in p.instructions[:2]:
+            assert ins.operands == (LabelRef("end", TEXT_BASE + 8),)
+
+    def test_repeated_bad_line_gives_one_error_per_occurrence(self):
+        records = list(scan("main:\n  movl %eax\n  ret\n  movl %eax\n"
+                            "  frob %eax\n  frob %eax\n  jmp nowhere\n"
+                            "  jmp nowhere"))
+        errors = [(r.line, r.kind) for r in records
+                  if isinstance(r, ScanError)]
+        assert errors == [(2, "arity"), (4, "arity"),
+                          (5, "unknown-mnemonic"), (6, "unknown-mnemonic"),
+                          (7, "undefined-label"), (8, "undefined-label")]
+
+    def test_nothing_outlives_the_call(self):
+        def sizes():
+            return {name: len(value)
+                    for name, value in vars(assembler).items()
+                    if isinstance(value, (dict, list, set))}
+
+        before = sizes()
+        assemble("main:\n  movl $123456, %eax\n  movl $123456, %eax\n"
+                 "  ret")
+        assert sizes() == before
+        assert not [name for name, value in vars(assembler).items()
+                    if hasattr(value, "cache_info")]
