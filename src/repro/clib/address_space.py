@@ -46,9 +46,9 @@ class Access:
     size: int
 
 
-# A deferred bus access (a JIT block's, or an interpreted step's that
-# joins it) is one int: the address in the low 32 bits, the kind in the
-# two bits above them, and the size above those. A list of them holds
+# A deferred bus access (a JIT block's or an interpreted step's, on any
+# bus) is one int: the address in the low 32 bits, the kind in the two
+# bits above them, and the size above those. A list of them holds
 # no per-access object for the garbage collector to track, numpy takes
 # the addresses and kinds of a batch with a mask and a shift, and a
 # JIT block appends a 4-byte access as ``address | <constant>``.

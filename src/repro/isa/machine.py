@@ -92,7 +92,7 @@ class Machine:
         self.jit = jit
         self.jit_threshold = jit_threshold
         self._jit_engine = None       # built lazily; False = unsupported
-        #: (backing space, view type, fetch entries or None): see
+        #: (backing space, fetch entries or None): see
         #: :meth:`_fetch_entries`
         self._fetch_check = None
         #: the traced loop's interned ids, built once per recorder and
@@ -395,23 +395,20 @@ class Machine:
         instruction of the program in an executable region, qualifies:
         then every fetch would succeed, and the bytes it copies are
         never read (the predecoded handler already holds the
-        instruction). The entries are built once per program, space and
-        kind of view (see ``fetch_entries`` in :mod:`repro.system.bus`):
-        a JIT's view hands out packed access records (see
-        :func:`~repro.clib.address_space.encode_access`), an interpreted
-        run's linear pages.
+        instruction). The entries are packed access records (see
+        :func:`~repro.clib.address_space.encode_access`), built once per
+        program and space, so the JIT and the interpreter share them.
         """
         space = deferred.space
         if space.trace_enabled:
             return None
         check = self._fetch_check
-        if (check is None or check[0] is not space
-                or check[1] is not type(deferred)):
+        if check is None or check[0] is not space:
             addresses = self.program.by_address
             entries = (deferred.fetch_entries(addresses, INSTRUCTION_SIZE)
                        if fetchable(space, addresses) else None)
-            check = self._fetch_check = (space, type(deferred), entries)
-        return check[2]
+            check = self._fetch_check = (space, entries)
+        return check[1]
 
     def _jit(self):
         """This machine's JIT engine, or None when JIT can't apply here
@@ -486,14 +483,13 @@ class Machine:
         On a space that can defer its bus accounting (a virtual-bus
         :class:`~repro.system.bus.ProcessView` whose bus records no
         per-access samples) the loop runs over the deferred view: bytes
-        move at once and the accesses, already mapped to the process's
-        linear pages, are replayed in one batch when the run ends (a
-        fault included) and every ``FLUSH_LIMIT // 4`` steps, as a JIT
-        block's are. When :meth:`_fetch_entries` allows, a recorded
-        fetch then only appends its accounting entry to that batch;
-        otherwise it takes the checked byte path, so fetch faults and
-        the space's access trace are as before. :meth:`step` stays the
-        per-access reference.
+        move at once and the accesses' packed records are replayed in
+        one batch when the run ends (a fault included) and every
+        ``FLUSH_LIMIT // 4`` steps, as a JIT block's are. When
+        :meth:`_fetch_entries` allows, a recorded fetch then only
+        appends its record to that batch; otherwise it takes the checked
+        byte path, so fetch faults and the space's access trace are as
+        before. :meth:`step` stays the per-access reference.
         """
         if self.jit if jit is None else jit:
             engine = self._jit()
@@ -513,11 +509,9 @@ class Machine:
             pending = deferred.pending       # deferred bus accounting
             fetch = deferred.fetch
             if record:
-                # each fetch's linear page, where the loop may append it
+                # each fetch's record, where the loop may append it
                 # without the byte path
                 entries = self._fetch_entries(deferred)
-                page = pending.vaddrs.append
-                flag = pending.writes.append
         rec = self.recorder
         traced = rec.enabled
         steps = self.steps
@@ -584,9 +578,7 @@ class Machine:
                     if entries is None:
                         fetch(eip, INSTRUCTION_SIZE)
                     else:
-                        page(entries[eip])
-                        flag(False)
-                        pending.fetches += 1
+                        pending.append(entries[eip])
                 try:
                     next_eip = handler(self, eip + INSTRUCTION_SIZE)
                 except BaseException as exc:

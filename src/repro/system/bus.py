@@ -28,9 +28,11 @@ the :mod:`repro.system.runner` report can compare across
 configurations. Recording (``recorder=``) follows the :mod:`repro.obs`
 rules: hooks guard on ``recorder.enabled`` and never change behaviour.
 
-A JIT defers the accounting of its blocks' accesses and hands each bus
-a batch of packed records, one int per access (address, size and kind;
-see :func:`~repro.clib.address_space.encode_access`), through
+A JIT defers the accounting of its blocks' accesses, and on the
+virtual bus an untraced interpreted slice defers its own
+(:meth:`ProcessView.deferred`). Either hands the bus a batch of packed
+records, one int per access (address, size and kind; see
+:func:`~repro.clib.address_space.encode_access`), through
 ``replay_block``: the flat bus counts their kinds, and the cached bus
 takes their kinds and addresses from one numpy array with a shift and
 two masks.
@@ -38,24 +40,20 @@ two masks.
 The virtual bus accounts with one engine, :meth:`VirtualBus._replay`:
 an exact, in-order pass over a batch of accesses, one linear page per
 page touched, that runs :meth:`MMU.replay` and then
-:meth:`CacheHierarchy.replay`. A JIT block's records are one batch,
-which :meth:`VirtualBus._linear` decodes and maps to linear pages
-first. An untraced interpreted slice's accesses are one
-batch too (:meth:`ProcessView.deferred`): they move their bytes at
-once, record their linear pages as they go, and are accounted when the
-slice ends. Untraced, the engines collapse resident TLB and L1 hits;
-traced, they record by one rule, whatever the batch: the MMU collapses
-only a run on the page it last translated and samples once at the end
-of the batch, and each cache level samples once per batch it reached.
-A single access (:meth:`VirtualBus.read_for` and friends, which a
-traced interpreted run issues) is accounted access by access, one
-``MMU.translate`` and one ``CacheHierarchy.probe`` per page it
+:meth:`CacheHierarchy.replay`. :meth:`VirtualBus._linear` first decodes
+the batch's records to linear pages through a per-process memo keyed by
+page, kind and size. Untraced, the engines collapse resident TLB and L1
+hits; traced, they record by one rule, whatever the batch: the MMU
+collapses only a run on the page it last translated and samples once at
+the end of the batch, and each cache level samples once per batch it
+reached. A single access (:meth:`VirtualBus.read_for` and friends,
+which a traced interpreted run issues) is accounted access by access,
+one ``MMU.translate`` and one ``CacheHierarchy.probe`` per page it
 touches, so its trace keeps every per-access sample.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -312,9 +310,10 @@ class CachedBus(ByteAddressable):
 
 
 class _Process:
-    """Per-pid state: backing bytes plus the page→linear-page mapping."""
+    """Per-pid state: backing bytes, the page→linear-page mapping, and
+    the decode memo of :meth:`VirtualBus._linear`."""
 
-    __slots__ = ("space", "vpn_of", "num_pages")
+    __slots__ = ("space", "vpn_of", "num_pages", "memo")
 
     def __init__(self, space: AddressSpace, page_size: int) -> None:
         self.space = space
@@ -334,23 +333,29 @@ class _Process:
                 self.vpn_of[first + page] = vpn
                 vpn += 1
         self.num_pages = vpn
+        #: ``record >> page shift`` (a packed record's size, kind and
+        #: page) -> (linear page base, is store, kind, last offset at
+        #: which an access of that size fits in the page); see
+        #: :meth:`VirtualBus._linear`
+        self.memo: dict[int, tuple[int, bool, int, int]] = {}
 
 
 class _DeferredView(ByteAddressable):
-    """A process's bytes with the bus accounting deferred to a JIT's
-    pending list.
+    """A process's bytes with the bus accounting deferred to a list of
+    packed records, :attr:`pending`: a JIT's, which its compiled blocks
+    append to as well, or an interpreted run's own.
 
     Each access moves its bytes through the backing
     :class:`AddressSpace` at once (faults, trace and watchers as
     usual) and then appends its packed record (see
-    :func:`~repro.clib.address_space.encode_access`) to the list the
-    JIT's compiled blocks append to, which
-    :meth:`VirtualBus.replay_block_for` accounts later in one batch. An
-    access that faults appends nothing.
+    :func:`~repro.clib.address_space.encode_access`) to
+    :attr:`pending`, which :meth:`VirtualBus.replay_block_for` accounts
+    later in one batch. An access that faults appends nothing.
     """
 
     def __init__(self, space: AddressSpace, pending: list[int]) -> None:
         self.space = space
+        self.pending = pending
         self._append = pending.append
 
     # each record is packed as encode_access packs it, inline: the space
@@ -373,124 +378,11 @@ class _DeferredView(ByteAddressable):
     @staticmethod
     def fetch_entries(addresses, size: int) -> dict[int, int]:
         """The record a fetch of ``size`` bytes at each of ``addresses``
-        appends, for a run that appends them to the pending list itself
+        appends, for a run that appends them to :attr:`pending` itself
         (see :meth:`repro.isa.machine.Machine._fetch_entries`, which
         has checked every address lies in an executable region)."""
         tag = FETCH << KIND_SHIFT | size << SIZE_SHIFT
         return {address: address | tag for address in addresses}
-
-
-class _LinearBatch:
-    """An interpreted slice's deferred accesses, in the form
-    :meth:`VirtualBus._replay` walks: one linear address and store flag
-    per page touched, and the access counts. ``len()`` is the number of
-    accesses, as for a JIT's list of packed records.
-
-    :class:`_LinearView` appends its accesses here, and so does
-    :meth:`repro.isa.machine.Machine._run` for a recorded fetch that
-    skips the byte path: its linear page (from
-    :meth:`_LinearView.fetch_entries`) to ``vaddrs``, False to
-    ``writes``, one to ``fetches``, with no call per step."""
-
-    __slots__ = ("vaddrs", "writes", "loads", "stores", "fetches")
-
-    def __init__(self) -> None:
-        self.vaddrs: list[int] = []
-        self.writes: list[bool] = []
-        self.loads = self.stores = self.fetches = 0
-
-    def __len__(self) -> int:
-        return self.loads + self.stores + self.fetches
-
-    def clear(self) -> None:
-        # in place: the view holds the lists' bound appends
-        self.vaddrs.clear()
-        self.writes.clear()
-        self.loads = self.stores = self.fetches = 0
-
-
-class _LinearView(ByteAddressable):
-    """A process's bytes with the bus accounting deferred to its own
-    :class:`_LinearBatch`, :attr:`pending`.
-
-    Each access moves its bytes through the backing
-    :class:`AddressSpace` at once (faults, trace and watchers as
-    usual), then records the linear page of each page it touches
-    (``_Process.vpn_of``; a page-crossing access splits per page), so
-    :meth:`VirtualBus.replay_block_for` accounts the batch without
-    walking it first. An access that faults records nothing.
-
-    The byte accessors are closures over the batch and the page map,
-    bound per view: this is the per-access path of an untraced
-    interpreted slice.
-    """
-
-    def __init__(self, proc: _Process, page_size: int) -> None:
-        space = self.space = proc.space
-        batch = self.pending = _LinearBatch()
-        vpn_of = proc.vpn_of
-        shift = page_size.bit_length() - 1
-        mask = page_size - 1
-        space_read = space.read
-        space_write = space.write
-        space_fetch = space.fetch
-        vaddr = batch.vaddrs.append
-        flag = batch.writes.append
-        self._pages = pages = partial(_split, vpn_of, shift, page_size)
-
-        # each accessor records the single-page case inline, and splits
-        # an access that crosses a page boundary with ``pages``
-        def read(address: int, size: int) -> bytes:
-            data = space_read(address, size)
-            vpn = vpn_of.get(address >> shift)
-            if vpn is not None and (address & mask) + size <= page_size:
-                vaddr((vpn << shift) | (address & mask))
-                flag(False)
-            else:
-                for linear in pages(address, size):
-                    vaddr(linear)
-                    flag(False)
-            batch.loads += 1
-            return data
-
-        def write(address: int, data: bytes) -> None:
-            space_write(address, data)
-            size = len(data)
-            vpn = vpn_of.get(address >> shift)
-            if vpn is not None and (address & mask) + size <= page_size:
-                vaddr((vpn << shift) | (address & mask))
-                flag(True)
-            else:
-                for linear in pages(address, size):
-                    vaddr(linear)
-                    flag(True)
-            batch.stores += 1
-
-        def fetch(address: int, size: int) -> bytes:
-            data = space_fetch(address, size)
-            for linear in pages(address, size):
-                vaddr(linear)
-                flag(False)
-            batch.fetches += 1
-            return data
-
-        self.read = read
-        self.write = write
-        self.fetch = fetch
-
-    def fetch_entries(self, addresses, size: int) -> dict[int, int] | None:
-        """The linear page a fetch of ``size`` bytes at each of
-        ``addresses`` records, for a run that appends them to
-        :attr:`pending` itself (see
-        :meth:`repro.isa.machine.Machine._fetch_entries`); None if one
-        crosses a page. Every address must lie in a mapped region."""
-        entries = {}
-        for address in addresses:
-            linear = self._pages(address, size)
-            if len(linear) != 1:
-                return None
-            entries[address] = linear[0]
-        return entries
 
 
 def _split(vpn_of: dict, shift: int, page_size: int, address: int,
@@ -553,21 +445,19 @@ class ProcessView(ByteAddressable):
         self.bus.replay_block_for(self.pid, accesses)
 
     def deferred(self, pending: list | None = None
-                 ) -> "_DeferredView | _LinearView | None":
+                 ) -> "_DeferredView | None":
         """This process's bytes with the accounting deferred to the
-        view's ``pending`` batch, for :meth:`replay_block` to account
-        later; None when the bus records a counter sample per access (a
-        traced run), which a batch would merge.
+        view's :attr:`~_DeferredView.pending` list of packed records,
+        for :meth:`replay_block` to account later; None when the bus
+        records a counter sample per access (a traced run), which a
+        batch would merge.
 
-        Given ``pending`` (a JIT's list, which its compiled blocks
-        append packed access records to), the view appends records
-        there too; otherwise it records linear pages into a batch of
-        its own (an interpreted run's)."""
+        The list is ``pending`` when given (a JIT's, which its compiled
+        blocks append to as well), and otherwise a fresh one (an
+        interpreted run's)."""
         if self.bus.samples():
             return None
-        if pending is None:
-            return _LinearView(self.bus._proc(self.pid), self.bus.page_size)
-        return _DeferredView(self.space, pending)
+        return _DeferredView(self.space, [] if pending is None else pending)
 
 
 class VirtualBus:
@@ -588,12 +478,12 @@ class VirtualBus:
     ``writable`` bit is left permissive), so a stray store faults with
     the same :class:`~repro.errors.SegmentationFault` a flat run raises.
 
-    Every batch is accounted by one engine, :meth:`_replay`: a JIT
-    block's or an untraced interpreted slice's, from
-    :meth:`replay_block_for`. A single access from :meth:`read_for` and
-    friends is translated and probed page by page (:meth:`_account`).
-    End state and charges equal an access-by-access walk whatever the
-    batch size.
+    Every batch of packed records is accounted by one engine,
+    :meth:`_replay`: a JIT block's or an untraced interpreted slice's,
+    from :meth:`replay_block_for`. A single access from
+    :meth:`read_for` and friends is translated and probed page by page
+    (:meth:`_account`). End state and charges equal an access-by-access
+    walk whatever the batch size.
     """
 
     kind = "virtual"
@@ -664,19 +554,22 @@ class VirtualBus:
                 or any(level.recorder.enabled
                        for level in self.hierarchy.levels))
 
-    def _linear(self, proc: _Process, accesses
+    def _linear(self, proc: _Process, accesses: list[int]
                 ) -> tuple[list[int], list[bool], int, int]:
-        """The accesses as one ``(linear address, is store)`` pair per
-        page touched, plus the load and store counts.
+        """The packed records as one ``(linear address, is store)`` pair
+        per page touched, plus the load and store counts.
 
-        A :class:`_LinearBatch` already holds them. A JIT's list of
-        packed records is decoded here (see
-        :func:`~repro.clib.address_space.decode_access`), splitting
-        page-crossing accesses as :func:`_split` does.
+        A record decodes through ``proc.memo``, keyed on ``record >>
+        page shift``: the record's size, kind and page together, so the
+        memo holds at most mapped pages × kinds × sizes entries, however
+        many addresses the process touches. An entry gives the page's
+        linear base, the store flag, the kind, and the last offset at
+        which an access of that size fits in the page. A miss fills it;
+        an access past that offset crosses a page and splits as
+        :func:`_split` does.
         """
-        if isinstance(accesses, _LinearBatch):
-            return (accesses.vaddrs, accesses.writes, accesses.loads,
-                    accesses.stores)
+        memo = proc.memo
+        get = memo.get
         vpn_of = proc.vpn_of
         shift = self._offset_bits
         page_size = self.page_size
@@ -684,26 +577,31 @@ class VirtualBus:
         vaddrs: list[int] = []
         writes: list[bool] = []
         append = vaddrs.append
-        loads = stores = 0
+        flag = writes.append
+        counts = [0, 0, 0]
         for record in accesses:
-            kind = record >> KIND_SHIFT & 3
-            address = record & ADDRESS_MASK
-            size = record >> SIZE_SHIFT
-            write = kind == STORE
-            if write:
-                stores += 1
-            elif kind == LOAD:
-                loads += 1
-            offset = address & mask
-            vpn = vpn_of.get(address >> shift)
-            if vpn is not None and offset + size <= page_size:
-                append((vpn << shift) | offset)
-                writes.append(write)
+            entry = get(record >> shift)
+            if entry is None:
+                kind = record >> KIND_SHIFT & 3
+                vpn = vpn_of.get((record & ADDRESS_MASK) >> shift)
+                if vpn is None:        # not memoised; _split faults
+                    entry = (0, kind == STORE, kind, -1)
+                else:
+                    entry = memo[record >> shift] = (
+                        vpn << shift, kind == STORE, kind,
+                        page_size - (record >> SIZE_SHIFT))
+            base, write, kind, last = entry
+            counts[kind] += 1
+            offset = record & mask
+            if offset <= last:
+                append(base | offset)
+                flag(write)
                 continue
-            for vaddr in _split(vpn_of, shift, page_size, address, size):
+            for vaddr in _split(vpn_of, shift, page_size,
+                                record & ADDRESS_MASK, record >> SIZE_SHIFT):
                 append(vaddr)
-                writes.append(write)
-        return vaddrs, writes, loads, stores
+                flag(write)
+        return vaddrs, writes, counts[LOAD], counts[STORE]
 
     def _charge_translations(self, hits: int, misses: int,
                              faults: int) -> None:
@@ -718,8 +616,9 @@ class VirtualBus:
 
     def _replay(self, pid: int, accesses) -> None:
         """Account a batch of ``pid``'s accesses, in order: the bus's one
-        batch engine, traced or not. The batch is a :class:`_LinearBatch`
-        or a JIT's packed records (see :meth:`_linear`).
+        batch engine, traced or not. The batch is a list of packed
+        records, a JIT's or an interpreted slice's, which :meth:`_linear`
+        maps to linear pages.
 
         One :meth:`MMU.replay` pass translates every touched page and
         one :meth:`CacheHierarchy.replay` pass probes the physical
@@ -834,10 +733,10 @@ class VirtualBus:
                               "store" if write else "load")
 
     def replay_block_for(self, pid: int, accesses) -> None:
-        """Account a batch of deferred accesses, traced or not: a JIT's
+        """Account a batch of deferred accesses, traced or not: the
         packed records (see
-        :func:`~repro.clib.address_space.encode_access`), or an
-        interpreted slice's :class:`_LinearBatch` (see
+        :func:`~repro.clib.address_space.encode_access`) of a JIT's
+        blocks or of an interpreted slice (see
         :meth:`ProcessView.deferred`), through :meth:`_replay`."""
         if accesses:
             self._replay(pid, accesses)

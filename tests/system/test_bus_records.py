@@ -7,7 +7,15 @@ stack, some of them straddling a 4 KiB page — and checks that
 encoded batch (``replay_block`` on the flat and cached buses,
 ``replay_block_for`` on the virtual bus) accounts exactly what the
 scalar ``read``/``write``/``fetch`` drive does: ``BusStats``, every
-cache level's stats, and the TLB and MMU stats.
+cache level's stats, and the TLB and MMU stats. On the virtual bus, so
+does the interpreted path: the same accesses through a process view's
+``deferred()`` view, whose ``pending`` records ``replay_block``
+accounts.
+
+The virtual bus decodes records through a memo per process, keyed by
+page, kind and size. Two processes whose layouts map the same address
+to different linear pages replay the same records, in turn, and each
+must leave the bus state its own scalar drive leaves.
 
 Tier-1 draws a few sequences. ``BUS_RECORD_EXAMPLES`` sets how many
 (CI runs more).
@@ -19,13 +27,16 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.clib.address_space import (AddressSpace, decode_access,
-                                      encode_access)
+from repro.clib.address_space import (DATA_BASE, AddressSpace, MemoryRegion,
+                                      decode_access, encode_access)
 from repro.errors import CMemoryError
 from repro.system.bus import CachedBus, FlatBus, VirtualBus
 
+from .test_virtual_slice_state import bus_state
+
 EXAMPLES = int(os.environ.get("BUS_RECORD_EXAMPLES", "25"))
 PAGE = 4096
+PAGE_SHIFT = 12
 #: pages of each region the draws touch: enough to miss in the TLB and
 #: the caches, few enough to hit in them too
 PAGES = 12
@@ -69,8 +80,7 @@ def fresh(kind):
     return bus
 
 
-def scalar_drive(bus, accesses):
-    view = bus.view(1) if isinstance(bus, VirtualBus) else bus
+def drive(view, accesses):
     for kind, address, size in accesses:
         if kind == "store":
             view.write(address, bytes(size))
@@ -80,12 +90,30 @@ def scalar_drive(bus, accesses):
             view.fetch(address, size)
 
 
-def batch_drive(bus, accesses):
+def scalar_drive(bus, accesses, pid=1):
+    drive(bus.view(pid), accesses)
+
+
+def batch_drive(bus, accesses, pid=1):
     records = [encode_access(*access) for access in accesses]
     if isinstance(bus, VirtualBus):
-        bus.replay_block_for(1, records)
+        bus.replay_block_for(pid, records)
     else:
         bus.replay_block(records)
+
+
+def deferred_drive(bus, accesses):
+    """An interpreted slice's path: bytes through the deferred view,
+    then its pending records replayed in one batch."""
+    view = bus.view(1)
+    deferred = view.deferred()
+    drive(deferred, accesses)
+    view.replay_block(deferred.pending)
+
+
+#: the drives each bus must account as its scalar drive does
+DRIVES = {"flat": (batch_drive,), "cached": (batch_drive,),
+          "virtual": (batch_drive, deferred_drive)}
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
@@ -106,19 +134,53 @@ def test_decode_inverts_encode_at_the_edges(access):
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(accesses=ACCESSES)
 def test_replayed_records_account_as_the_scalar_drive(accesses):
-    for kind in ("flat", "cached", "virtual"):
-        scalar, batch = fresh(kind), fresh(kind)
+    for kind, drives in DRIVES.items():
+        scalar = fresh(kind)
         scalar_drive(scalar, accesses)
-        batch_drive(batch, accesses)
-        assert batch.stats.accesses == len(accesses), kind
-        assert vars(batch.stats) == vars(scalar.stats), kind
-        if kind == "flat":
-            continue
-        for b, s in zip(batch.hierarchy.levels, scalar.hierarchy.levels):
-            assert vars(b.stats) == vars(s.stats), kind
-        if kind == "virtual":
-            assert asdict(batch.mmu.tlb.stats) == asdict(scalar.mmu.tlb.stats)
-            assert asdict(batch.mmu.stats) == asdict(scalar.mmu.stats)
+        for replay in drives:
+            batch = fresh(kind)
+            replay(batch, accesses)
+            where = kind, replay.__name__
+            assert batch.stats.accesses == len(accesses), where
+            assert vars(batch.stats) == vars(scalar.stats), where
+            if kind == "flat":
+                continue
+            for b, s in zip(batch.hierarchy.levels,
+                            scalar.hierarchy.levels):
+                assert vars(b.stats) == vars(s.stats), where
+            if kind == "virtual":
+                assert (asdict(batch.mmu.tlb.stats)
+                        == asdict(scalar.mmu.tlb.stats)), where
+                assert (asdict(batch.mmu.stats)
+                        == asdict(scalar.mmu.stats)), where
+
+
+def two_layouts():
+    """A virtual bus with pid 1 on the standard layout and pid 2 with
+    two extra pages mapped before ``data``, so that every address from
+    ``data`` up lies in a different linear page in each."""
+    bus = VirtualBus()
+    bus.create_process(1)
+    space = AddressSpace.standard()
+    space.map_region(MemoryRegion("rodata", DATA_BASE - 2 * PAGE, 2 * PAGE))
+    bus.create_process(2, space)
+    return bus
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(accesses=ACCESSES)
+def test_each_process_decodes_records_by_its_own_pages(accesses):
+    scalar, batch = two_layouts(), two_layouts()
+    for _ in range(2):
+        for pid in (1, 2):
+            scalar_drive(scalar, accesses, pid)
+            batch_drive(batch, accesses, pid)
+            assert bus_state(batch) == bus_state(scalar), pid
+    # one memo entry per page, kind and size drawn, however many
+    # addresses: the memo is bounded by mapped pages x kinds x sizes
+    keys = {encode_access(*access) >> PAGE_SHIFT for access in accesses}
+    for pid in (1, 2):
+        assert len(batch._proc(pid).memo) == len(keys)
 
 
 @pytest.mark.parametrize("address, size", [(-1, 4), (2 ** 32, 4),

@@ -11,12 +11,16 @@ shapes, with 16 frames so that evictions and write-backs happen.
 
 Every slice of every run also checks the conservation laws between the
 layers: each translation is one TLB probe and one L1 probe, each level
-below L1 sees exactly the misses of the level above, and each cycle
-bucket is its count times its cost.
+below L1 sees exactly the misses of the level above, no access makes
+fewer than one translation, and each cycle bucket is its count times
+its cost (the ``cache`` bucket each level's hits times the hit times
+down to it, the ``memory`` bucket the full misses times every hit time
+plus the memory time).
 """
 
 import hashlib
 from dataclasses import astuple
+from itertools import accumulate
 from pathlib import Path
 
 from repro.clib.address_space import HEAP_BASE
@@ -101,6 +105,16 @@ def check_conservation(bus) -> None:
     assert breakdown.get("fault", 0.0) == (mmu.stats.page_faults
                                            * cost.fault_service_time)
     assert bus.stats.cycles == sum(breakdown.values())
+    # a page-crossing access translates twice but counts once
+    assert bus.stats.accesses <= mmu.stats.accesses
+    # a hit at a level costs the hit times down to it; a full miss costs
+    # every level's hit time plus the memory time
+    cum = list(accumulate(cache.config.hit_time
+                          for cache in bus.hierarchy.levels))
+    assert breakdown.get("cache", 0.0) == sum(
+        level.hits * through for level, through in zip(levels, cum))
+    assert breakdown.get("memory", 0.0) == (
+        bus.hierarchy.memory_accesses * (cum[-1] + cost.memory_time))
 
 
 def run_pinned(source: str, *, jit: bool, procs: int, batch: int,
